@@ -8,12 +8,16 @@ Subcommands
     bench     time every route of a model over sizes n = 1..cap and report
               term counts
 
+compute and bench take the routes of a model from one table,
+`_model_routes`, whose size caps are the library's own.
+
 Complex flags accept plain reals, `a+bi` forms, the token `i`, and
 `[re, im]` pairs.  Seeded parameter lists are drawn componentwise from the
 box [0.1, 0.9] + i*[-0.05, 0.05] using numpy's PCG64 generator, so a seed
 pins the exact inputs across machines.
 
-Exit status: 0 pass, 1 parameter or domain error, 2 tolerance failure.
+Exit status: 0 pass, 1 parameter or domain error, 2 tolerance failure or
+a non-finite value.
 """
 
 from __future__ import annotations
@@ -30,12 +34,12 @@ from math import factorial
 
 import numpy as np
 
-from .closedform import recursion_factor, weight_kernel, z_6v_sum, \
-    z_izergin, z_sos_elliptic, z_trig_sos
+from .closedform import FACTORIAL_CAP, recursion_factor, weight_kernel, \
+    z_6v_sum, z_izergin, z_sos_elliptic, z_trig_sos
 from .ellpoly import Character, interpolate, membership_residual, \
     addition_formula_residual, qj_interpolation_residual, theta_product_poly, \
     vandermonde_ratio
-from .enumeration import asm_number, column_transfer_6v, \
+from .enumeration import SIZE_CAP, asm_number, column_transfer_6v, \
     column_transfer_trig, column_transfer_z, enumerate_6v, enumerate_sos, \
     enumerate_trig_sos
 from .errors import DwbcError, InvalidParameter
@@ -49,8 +53,6 @@ ROUTES = ("enumerate", "transfer", "sum", "determinant", "all")
 SUITES = ("symmetry", "recursion", "character", "dybe", "degeneration",
           "appendix", "all")
 PROXY_TOL = 1e-6
-ENUM_CAP = 6
-SUM_CAP = 9
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -132,7 +134,6 @@ class RunConfig:
     w: list | None = None
     tolerance: float = 1e-9
     output_format: str = "text"
-    parallel: bool = False
 
     def validate(self) -> None:
         if self.n < 1:
@@ -142,19 +143,20 @@ class RunConfig:
         if self.route == "determinant" and self.model != "six-vertex":
             raise InvalidParameter(
                 "route 'determinant' applies only to model 'six-vertex'")
-        if self.model == "sos-trig" and self.route == "determinant":
-            raise InvalidParameter(
-                "model 'sos-trig' has no determinant route")
         for name in ("u", "v", "z", "w"):
             lst = getattr(self, name)
             if lst is not None and len(lst) != self.n:
                 raise InvalidParameter(
                     f"--{name} lists {len(lst)} values but n = {self.n}")
-        pair = ("u", "v") if self.model == "sos-elliptic" else ("z", "w")
+        pair = self.parameter_names()
         given = [name for name in pair if getattr(self, name) is not None]
         if len(given) == 1:
             raise InvalidParameter(
                 f"--{pair[0]} and --{pair[1]} must be given together")
+
+    def parameter_names(self) -> tuple:
+        """Flags of the model's column and row parameter lists."""
+        return ("u", "v") if self.model == "sos-elliptic" else ("z", "w")
 
 
 def _draw_box(rng, n: int) -> list:
@@ -195,7 +197,7 @@ def _config_echo(cfg: RunConfig) -> dict:
     out = {
         "command": cfg.command, "model": cfg.model, "n": cfg.n,
         "seed": cfg.seed, "tolerance": cfg.tolerance,
-        "format": cfg.output_format, "parallel": cfg.parallel,
+        "format": cfg.output_format,
         "tau": _cjson(cfg.tau), "lambda": _cjson(cfg.lam),
         "hbar": _cjson(cfg.hbar), "q": _cjson(cfg.q), "mu": _cjson(cfg.mu),
     }
@@ -210,91 +212,64 @@ def _config_echo(cfg: RunConfig) -> dict:
     return out
 
 
-def _elliptic_setup(cfg: RunConfig):
-    ctx = ThetaContext(cfg.tau)
-    if cfg.u is not None:
-        u, v = cfg.u, cfg.v
-    else:
-        u, v = draw_parameters(cfg.n, cfg.seed)
-    return ctx, EllipticParams(u, v, cfg.lam, cfg.hbar)
-
-
-def _trig_setup(cfg: RunConfig, with_mu: bool) -> TrigParams:
-    if cfg.z is not None:
-        z, w = cfg.z, cfg.w
-    else:
-        z, w = draw_parameters(cfg.n, cfg.seed)
-    return TrigParams(z, w, cfg.q, cfg.mu if with_mu else None)
-
-
-def _compute_routes(cfg: RunConfig) -> list:
-    """(name, thunk) pairs for the routes of cfg.model admitted at size n."""
-    n = cfg.n
-    want_all = cfg.route == "all"
-    routes = []
+def _model_routes(cfg: RunConfig, a: list, b: list) -> list:
+    """(name, cap, nominal_terms, thunk) for every route of cfg.model on the
+    column parameters a and row parameters b, in report order."""
+    n = len(a)
     if cfg.model == "sos-elliptic":
-        ctx, p = _elliptic_setup(cfg)
-        cfg.u, cfg.v = list(p.u), list(p.v)
-        cands = [
-            ("enumerate", n <= ENUM_CAP,
-             lambda: enumerate_sos(ctx, p, parallel=cfg.parallel)),
-            ("transfer", n <= ENUM_CAP, lambda: column_transfer_z(ctx, p)),
-            ("sum", n <= SUM_CAP,
-             lambda: z_sos_elliptic(ctx, p, parallel=cfg.parallel)),
-        ]
+        ctx = ThetaContext(cfg.tau)
+        p = EllipticParams(a, b, cfg.lam, cfg.hbar)
+        routes = [("enumerate", lambda: enumerate_sos(ctx, p)),
+                  ("transfer", lambda: column_transfer_z(ctx, p)),
+                  ("sum", lambda: z_sos_elliptic(ctx, p))]
     elif cfg.model == "sos-trig":
-        p = _trig_setup(cfg, with_mu=True)
-        cfg.z, cfg.w = list(p.z), list(p.w)
-        cands = [
-            ("enumerate", n <= ENUM_CAP,
-             lambda: enumerate_trig_sos(p, parallel=cfg.parallel)),
-            ("transfer", n <= ENUM_CAP, lambda: column_transfer_trig(p)),
-            ("sum", n <= SUM_CAP, lambda: z_trig_sos(p, parallel=cfg.parallel)),
-        ]
+        p = TrigParams(a, b, cfg.q, cfg.mu)
+        routes = [("enumerate", lambda: enumerate_trig_sos(p)),
+                  ("transfer", lambda: column_transfer_trig(p)),
+                  ("sum", lambda: z_trig_sos(p))]
     else:
-        p = _trig_setup(cfg, with_mu=False)
-        cfg.z, cfg.w = list(p.z), list(p.w)
-        cands = [
-            ("enumerate", n <= ENUM_CAP,
-             lambda: enumerate_6v(p, parallel=cfg.parallel)),
-            ("transfer", n <= ENUM_CAP, lambda: column_transfer_6v(p)),
-            ("determinant", True, lambda: z_izergin(p)),
-            ("sum", n <= SUM_CAP, lambda: z_6v_sum(p, parallel=cfg.parallel)),
-        ]
-    for name, fits, thunk in cands:
-        if want_all:
-            if fits:
-                routes.append((name, thunk))
-        elif name == cfg.route:
-            routes.append((name, thunk))  # over-cap single route raises SizeCap
-    if not routes:
-        raise InvalidParameter(
-            f"model '{cfg.model}' has no route '{cfg.route}' at n = {n}")
-    return routes
+        p = TrigParams(a, b, cfg.q)
+        routes = [("enumerate", lambda: enumerate_6v(p)),
+                  ("transfer", lambda: column_transfer_6v(p)),
+                  ("determinant", lambda: z_izergin(p)),
+                  ("sum", lambda: z_6v_sum(p))]
+    cost = {"enumerate": (SIZE_CAP, asm_number(n)),
+            "transfer": (SIZE_CAP, 2 ** n),
+            "determinant": (math.inf, n ** 3),
+            "sum": (FACTORIAL_CAP, factorial(n))}
+    return [(name, *cost[name], thunk) for name, thunk in routes]
 
 
 def cmd_compute(cfg: RunConfig):
-    routes = _compute_routes(cfg)
+    pair = cfg.parameter_names()
+    if getattr(cfg, pair[0]) is None:
+        for name, draw in zip(pair, draw_parameters(cfg.n, cfg.seed)):
+            setattr(cfg, name, draw)
+    routes = [(name, thunk) for name, cap, _, thunk
+              in _model_routes(cfg, *(getattr(cfg, name) for name in pair))
+              if name == cfg.route  # over-cap single route raises SizeCap
+              or (cfg.route == "all" and cfg.n <= cap)]
+    if not routes:
+        raise InvalidParameter(
+            f"model '{cfg.model}' has no route '{cfg.route}' at n = {cfg.n}")
     results = []
-    values = {}
+    values = []
     for name, thunk in routes:
         val, ms = _timed(thunk)
-        values[name] = val
+        values.append(complex(val))
         results.append({"route": name, "value": _cjson(val), "time_ms": ms})
-    comparisons = []
-    names = [name for name, _ in routes]
-    worst = 0.0
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            d = _rel(values[names[i]], values[names[j]])
-            worst = max(worst, d)
-            comparisons.append({"a": names[i], "b": names[j], "rel_diff": d})
-    verdict = "pass" if worst <= cfg.tolerance else "fail"
+    comparisons = [{"a": routes[i][0], "b": routes[j][0],
+                    "rel_diff": _rel(values[i], values[j])}
+                   for i in range(len(routes))
+                   for j in range(i + 1, len(routes))]
+    ok = all(cmath.isfinite(val) for val in values) \
+        and all(c["rel_diff"] <= cfg.tolerance for c in comparisons)
+    verdict = "pass" if ok else "fail"
     report = {
         "command": "compute", "config": _config_echo(cfg), "results": results,
         "comparisons": comparisons, "verdict": verdict, "residuals": {},
     }
-    return report, (0 if verdict == "pass" else 2)
+    return report, (0 if ok else 2)
 
 
 # ---------------------------------------------------------------------------
@@ -519,38 +494,8 @@ def cmd_bench(cfg: RunConfig):
     for n in range(1, cfg.n + 1):
         rng = np.random.default_rng([cfg.seed, n])
         a, b = _draw_box(rng, n), _draw_box(rng, n)
-        if cfg.model == "sos-elliptic":
-            ctx = ThetaContext(cfg.tau)
-            p = EllipticParams(a, b, cfg.lam, cfg.hbar)
-            cands = [
-                ("enumerate", n <= ENUM_CAP, asm_number(n),
-                 lambda: enumerate_sos(ctx, p)),
-                ("transfer", n <= ENUM_CAP, 2 ** n,
-                 lambda: column_transfer_z(ctx, p)),
-                ("sum", n <= SUM_CAP, factorial(n),
-                 lambda: z_sos_elliptic(ctx, p)),
-            ]
-        elif cfg.model == "sos-trig":
-            p = TrigParams(a, b, cfg.q, cfg.mu)
-            cands = [
-                ("enumerate", n <= ENUM_CAP, asm_number(n),
-                 lambda: enumerate_trig_sos(p)),
-                ("transfer", n <= ENUM_CAP, 2 ** n,
-                 lambda: column_transfer_trig(p)),
-                ("sum", n <= SUM_CAP, factorial(n), lambda: z_trig_sos(p)),
-            ]
-        else:
-            p = TrigParams(a, b, cfg.q)
-            cands = [
-                ("enumerate", n <= ENUM_CAP, asm_number(n),
-                 lambda: enumerate_6v(p)),
-                ("transfer", n <= ENUM_CAP, 2 ** n,
-                 lambda: column_transfer_6v(p)),
-                ("determinant", True, n ** 3, lambda: z_izergin(p)),
-                ("sum", n <= SUM_CAP, factorial(n), lambda: z_6v_sum(p)),
-            ]
-        for name, fits, terms, thunk in cands:
-            if not fits:
+        for name, cap, terms, thunk in _model_routes(cfg, a, b):
+            if n > cap:
                 continue
             val, ms = _timed(thunk)
             results.append({"route": name, "value": _cjson(val),
@@ -636,7 +581,6 @@ def _add_common(sub: argparse.ArgumentParser, default_n: int) -> None:
     sub.add_argument("--tolerance", type=float, default=1e-9)
     sub.add_argument("--format", dest="output_format",
                      choices=("text", "json"), default="text")
-    sub.add_argument("--parallel", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -667,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     for name in ("model", "seed", "tau", "lam", "hbar", "q", "mu",
-                 "tolerance", "output_format", "parallel", "route", "suite",
+                 "tolerance", "output_format", "route", "suite",
                  "u", "v", "z", "w"):
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))

@@ -4,20 +4,17 @@ Four formulas, each an independent route to values the enumerators also
 produce: a permutation sum over n! terms for the elliptic SOS model, the
 matching trigonometric permutation sums for the dynamical SOS and
 six-vertex models, and the Izergin determinant for the six-vertex model.
-Permutations are always iterated in lexicographic order, so sums are
-reproducible bit for bit; the optional parallel mode splits the same
-ordering into disjoint ranges and combines partial sums in range order.
+Each permutation sum builds its factor tables once and hands them to one
+summation, `_perm_sum`, which iterates permutations in lexicographic order,
+so sums are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from itertools import islice, permutations
-from math import ceil, factorial
+from itertools import permutations
 
 import numpy as np
-from scipy.linalg import lu_factor
 
 from .errors import DegenerateParameter, InvalidParameter, SizeCap
 from .rmatrix import EllipticParams, TrigParams
@@ -25,23 +22,6 @@ from .theta import ThetaContext, require_off_lattice, theta
 
 FACTORIAL_CAP = 9
 _COND_WARN = 1e12
-
-
-def _perm_sum(n, term, parallel=False):
-    """Sum term(sigma) over all permutations of range(n), lexicographically."""
-    if not parallel or n < 4:
-        return sum(term(sig) for sig in permutations(range(n)))
-    total = factorial(n)
-    workers = 8
-    chunk = max(1, ceil(total / (workers * 4)))
-    ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-
-    def part(rg):
-        return sum(term(sig)
-                   for sig in islice(permutations(range(n)), rg[0], rg[1]))
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(part, ranges), 0j)
 
 
 def _inversions(sig):
@@ -52,8 +32,29 @@ def _inversions(sig):
                 yield sig[l], sig[m]
 
 
+def _perm_sum(G, F):
+    """Sum over all permutations sigma of range(n), lexicographically, of
+
+        prod_{inversions (a, b) of sigma} G[a][b] * prod_m prod F[m][sigma(m)]
+
+    where G[a][b] is given for a > b only and F[m][j] is the tuple of
+    factors row m contributes when it takes the parameter j, multiplied
+    one by one in tuple order.
+    """
+    def term(sig):
+        t = 1.0 + 0j
+        for a, b in _inversions(sig):
+            t *= G[a][b]
+        for m, j in enumerate(sig):
+            for f in F[m][j]:
+                t *= f
+        return t
+
+    return sum(term(sig) for sig in permutations(range(len(F))))
+
+
 def z_sos_elliptic(ctx: ThetaContext, p: EllipticParams,
-                   cap: int = FACTORIAL_CAP, parallel: bool = False) -> complex:
+                   cap: int = FACTORIAL_CAP) -> complex:
     """Elliptic SOS domain-wall partition function as a permutation sum.
 
     With th = theta(. | tau), 1-based indices and sigma running over all
@@ -87,22 +88,13 @@ def z_sos_elliptic(ctx: ThetaContext, p: EllipticParams,
             pref *= theta(ctx, v[k] - v[m] - hbar) / theta(ctx, v[k] - v[m])
     th_h = theta(ctx, hbar)
     tminus = [theta(ctx, -lam - m * hbar) for m in range(n)]
-
-    def term(sig):
-        t = 1.0 + 0j
-        for a, b in _inversions(sig):
-            d = v[a] - v[b]
-            t *= theta(ctx, d + hbar) / theta(ctx, d - hbar)
-        for m in range(n):
-            vm = v[sig[m]]
-            for k in range(m):
-                t *= theta(ctx, u[k] - vm)
-            for k in range(m + 1, n):
-                t *= theta(ctx, u[k] - vm + hbar)
-            t *= theta(ctx, u[m] - vm - lam - m * hbar) * th_h / tminus[m]
-        return t
-
-    return pref * _perm_sum(n, term, parallel)
+    G = [[theta(ctx, v[a] - v[b] + hbar) / theta(ctx, v[a] - v[b] - hbar)
+          for b in range(a)] for a in range(n)]
+    F = [[tuple(theta(ctx, u[k] - v[j]) for k in range(m))
+          + tuple(theta(ctx, u[k] - v[j] + hbar) for k in range(m + 1, n))
+          + (theta(ctx, u[m] - v[j] - lam - m * hbar) * th_h / tminus[m],)
+          for j in range(n)] for m in range(n)]
+    return pref * _perm_sum(G, F)
 
 
 def recursion_factor(ctx: ThetaContext, p: EllipticParams) -> complex:
@@ -151,7 +143,7 @@ def z_izergin(p: TrigParams) -> complex:
             / prod_{i>j} (z_i - z_j)(w_j - w_i)
             * det || 1 / ((z_i - w_j)(q z_i - w_j / q)) ||
 
-    The determinant is computed from a partially pivoted LU factorisation;
+    The determinant comes from numpy's partially pivoted LU factorisation;
     a RuntimeWarning is emitted when the matrix condition number exceeds
     1e12, since digits are then lost to near-coinciding parameters.
     """
@@ -182,10 +174,7 @@ def z_izergin(p: TrigParams) -> complex:
             f"Izergin matrix condition number {cond:.3e} exceeds {_COND_WARN:.0e}; "
             f"the determinant value may have lost most significant digits",
             RuntimeWarning, stacklevel=2)
-    lu, piv = lu_factor(mat)
-    det = complex(np.prod(np.diag(lu)))
-    if int(np.sum(piv != np.arange(n))) % 2:
-        det = -det
+    det = complex(np.linalg.det(mat))
 
     pref = (q - 1.0 / q) ** n
     for wm in w:
@@ -201,8 +190,19 @@ def z_izergin(p: TrigParams) -> complex:
     return pref * num / den * det
 
 
-def z_6v_sum(p: TrigParams, cap: int = FACTORIAL_CAP,
-             parallel: bool = False) -> complex:
+def _trig_tables(z, w, q):
+    """Inversion factors G[a][b] (a > b) and row factors F[m][j] shared by
+    the six-vertex and trigonometric SOS sums."""
+    n = len(w)
+    G = [[(q * w[a] - w[b] / q) / (w[a] / q - q * w[b]) for b in range(a)]
+         for a in range(n)]
+    F = [[tuple(q * z[i] - w[j] / q for i in range(m + 1, n))
+          + tuple(z[i] - w[j] for i in range(m)) for j in range(n)]
+         for m in range(n)]
+    return G, F
+
+
+def z_6v_sum(p: TrigParams, cap: int = FACTORIAL_CAP) -> complex:
     """Six-vertex domain-wall partition function as a permutation sum:
 
         Z = (q - 1/q)^n prod_m w_m
@@ -225,24 +225,10 @@ def z_6v_sum(p: TrigParams, cap: int = FACTORIAL_CAP,
     for i in range(n):
         for j in range(i):
             pref *= (w[i] / q - q * w[j]) / (w[i] - w[j])
-
-    def term(sig):
-        t = 1.0 + 0j
-        for a, b in _inversions(sig):
-            t *= (q * w[a] - w[b] / q) / (w[a] / q - q * w[b])
-        for k in range(n):
-            wk = w[sig[k]]
-            for i in range(k + 1, n):
-                t *= q * z[i] - wk / q
-            for i in range(k):
-                t *= z[i] - wk
-        return t
-
-    return pref * _perm_sum(n, term, parallel)
+    return pref * _perm_sum(*_trig_tables(z, w, q))
 
 
-def z_trig_sos(p: TrigParams, cap: int = FACTORIAL_CAP,
-               parallel: bool = False) -> complex:
+def z_trig_sos(p: TrigParams, cap: int = FACTORIAL_CAP) -> complex:
     """Trigonometric dynamical SOS partition function as a permutation sum:
 
         Z = prod_{k>m} (w_k/q - q w_m) / (w_k - w_m)
@@ -273,21 +259,10 @@ def z_trig_sos(p: TrigParams, cap: int = FACTORIAL_CAP,
             pref *= (w[k] / q - q * w[m]) / (w[k] - w[m])
     qk = [mu * q ** (2 * m) for m in range(n)]
     cfac = q - 1.0 / q
-
-    def term(sig):
-        t = 1.0 + 0j
-        for a, b in _inversions(sig):
-            t *= (q * w[a] - w[b] / q) / (w[a] / q - q * w[b])
-        for m in range(n):
-            wm = w[sig[m]]
-            for k in range(m + 1, n):
-                t *= q * z[k] - wm / q
-            for k in range(m):
-                t *= z[k] - wm
-            t *= (z[m] - wm * qk[m]) * cfac / (1.0 - qk[m])
-        return t
-
-    return pref * _perm_sum(n, term, parallel)
+    G, F = _trig_tables(z, w, q)
+    F = [[row[j] + ((z[m] - w[j] * qk[m]) * cfac / (1.0 - qk[m]),)
+          for j in range(n)] for m, row in enumerate(F)]
+    return pref * _perm_sum(G, F)
 
 
 def weight_kernel(ctx: ThetaContext, p: EllipticParams, vperm) -> complex:

@@ -26,7 +26,6 @@ taken at dynamical parameter lam + k*hbar.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from math import factorial
@@ -50,12 +49,14 @@ def asm_number(n: int) -> int:
     return num // den
 
 
-def _column_branches(n, i, right, weight_fn, record=False):
+def _column_branches(n, i, right, source, record=False):
     """All consistent fillings of column i, given its right-edge signs.
 
-    `right[j-1]` is the sign entering vertex (i, j) from the right.  Returns
-    a list of (column_weight, left_edge_signs, rows) where rows, present only
-    when record is set, lists (alpha, beta, gamma, delta) for j = n..1.
+    `right[j-1]` is the sign entering vertex (i, j) from the right, and
+    source(i, j, k) is the weight matrix of vertex (i, j) at face offset k
+    (None weighs every vertex 1).  Returns a list of (column_weight,
+    left_edge_signs, rows) where rows, present only when record is set,
+    lists (alpha, beta, gamma, delta) for j = n..1.
     The descent runs top-down; at each vertex sign conservation leaves at
     most two (gamma, delta) choices, and the bottom edge must close on -1.
     """
@@ -71,8 +72,8 @@ def _column_branches(n, i, right, weight_fn, record=False):
         else:
             opts = ((1, -1), (-1, 1))
         for gamma, delta in opts:
-            w2 = w * weight_fn(i, j, alpha, beta, gamma, delta, k) \
-                if weight_fn is not None else w
+            w2 = w * source(i, j, k).entry(alpha, beta, gamma, delta) \
+                if source is not None else w
             d2 = deltas + (delta,)
             r2 = rows + ((alpha, beta, gamma, delta),) if record else rows
             if j == 1:
@@ -85,7 +86,7 @@ def _column_branches(n, i, right, weight_fn, record=False):
     return out
 
 
-def _weight_sum(n, weight_fn, parallel=False):
+def _weight_sum(n, source):
     """Sum of weight products over all domain-wall ice configurations."""
     target = (1,) * n
 
@@ -93,25 +94,21 @@ def _weight_sum(n, weight_fn, parallel=False):
         if i > n:
             return 1.0 + 0j if right == target else 0j
         return sum(w * from_col(i + 1, lefts)
-                   for w, lefts, _ in _column_branches(n, i, right, weight_fn))
+                   for w, lefts, _ in _column_branches(n, i, right, source))
 
-    start = (-1,) * n
-    if not parallel:
-        return from_col(1, start)
-    # Disjoint subtrees: one task per consistent filling of column 1,
-    # combined in branch order so the result is reproducible.
-    branches = _column_branches(n, 1, start, weight_fn)
-    with ThreadPoolExecutor() as pool:
-        parts = pool.map(lambda br: br[0] * from_col(2, br[1]), branches)
-        return sum(parts, 0j)
+    return from_col(1, (-1,) * n)
+
+
+def _check_cap(n, cap, route):
+    if n > cap:
+        raise SizeCap(f"n = {n} exceeds the {route} cap {cap}")
 
 
 def count_configurations(n: int, cap: int = SIZE_CAP) -> int:
     """Number of ice configurations compatible with domain-wall boundaries
     (equals the alternating-sign-matrix number)."""
-    if n > cap:
-        raise SizeCap(f"n = {n} exceeds the enumeration cap {cap}")
-    total = _weight_sum(n, lambda *args: 1.0 + 0j)
+    _check_cap(n, cap, "enumeration")
+    total = _weight_sum(n, None)
     return int(round(total.real))
 
 
@@ -144,8 +141,7 @@ class SignConfig:
 def dwbc_sign_configs(n: int, cap: int = SIZE_CAP):
     """Yield every SignConfig compatible with domain-wall boundaries,
     in the deterministic depth-first order of the enumerator."""
-    if n > cap:
-        raise SizeCap(f"n = {n} exceeds the enumeration cap {cap}")
+    _check_cap(n, cap, "enumeration")
     target = (1,) * n
 
     def rec(i, right, acc):
@@ -198,32 +194,63 @@ class HeightField:
         return int(bad)
 
 
-def enumerate_6v(p: TrigParams, rmatrix_fn=None, cap: int = SIZE_CAP,
-                 parallel: bool = False) -> complex:
+def _cached(builder):
+    cache = {}
+
+    def fetch(i, j, k):
+        r = cache.get((i, j, k))
+        if r is None:
+            r = builder(i, j, k)
+            cache[(i, j, k)] = r
+        return r
+
+    return fetch
+
+
+def _sos_source(ctx, p, rmatrix_fn):
+    """Elliptic SOS weights: vertex (i, j) at face offset k sees the
+    dynamical parameter lam + k*hbar."""
+    make = rmatrix_fn or sos_rmatrix
+    return _cached(lambda i, j, k: make(ctx, p.u[i - 1] - p.v[j - 1],
+                                        p.lam + k * p.hbar, p.hbar))
+
+
+def _sixv_source(p, rmatrix_fn):
+    """Six-vertex weights carry no dynamical parameter, so one matrix per
+    vertex serves every face offset."""
+    make = rmatrix_fn or sixv_rmatrix
+    table = [[make(z, w, p.q) for w in p.w] for z in p.z]
+    return lambda i, j, k: table[i - 1][j - 1]
+
+
+def _trig_source(p):
+    """Trigonometric SOS weights: face offset k acts multiplicatively,
+    mu -> mu * q^(2k).  Offsets stay within |k| <= 2n, and each of those
+    must keep the dynamical denominator 1 - mu q^(2k) away from zero."""
+    if p.mu is None:
+        raise InvalidParameter("the trigonometric SOS model needs mu")
+    for k in range(-2 * p.n, 2 * p.n + 1):
+        val = p.mu * p.q ** (2 * k)
+        if abs(val - 1.0) < 1e-10:
+            raise DegenerateParameter(
+                f"mu*q^(2*{k}) = {val} hits 1 (dynamical denominator vanishes)")
+    return _cached(lambda i, j, k: trig_sos_rmatrix(
+        p.z[i - 1], p.w[j - 1], p.mu * p.q ** (2 * k), p.q))
+
+
+def enumerate_6v(p: TrigParams, rmatrix_fn=None, cap: int = SIZE_CAP) -> complex:
     """Six-vertex domain-wall partition function by brute-force enumeration.
 
     rmatrix_fn(z, w, q) -> RMatrix4 may replace the standard weights (e.g.
     a gauge-transformed matrix); the default is sixv_rmatrix.
     """
     p.validate()
-    n = p.n
-    if n > cap:
-        raise SizeCap(f"n = {n} exceeds the enumeration cap {cap}")
-    make = rmatrix_fn if rmatrix_fn is not None else sixv_rmatrix
-    cache = {}
-
-    def weight(i, j, a, b, g, d, k):
-        r = cache.get((i, j))
-        if r is None:
-            r = make(p.z[i - 1], p.w[j - 1], p.q)
-            cache[(i, j)] = r
-        return r.entry(a, b, g, d)
-
-    return _weight_sum(n, weight, parallel)
+    _check_cap(p.n, cap, "enumeration")
+    return _weight_sum(p.n, _sixv_source(p, rmatrix_fn))
 
 
 def enumerate_sos(ctx: ThetaContext, p: EllipticParams, rmatrix_fn=None,
-                  cap: int = SIZE_CAP, parallel: bool = False) -> complex:
+                  cap: int = SIZE_CAP) -> complex:
     """Elliptic SOS domain-wall partition function by brute-force enumeration.
 
     Heights appear only through the offset k of each face, so weights are
@@ -231,48 +258,16 @@ def enumerate_sos(ctx: ThetaContext, p: EllipticParams, rmatrix_fn=None,
     may replace sos_rmatrix.
     """
     p.validate(ctx)
-    n = p.n
-    if n > cap:
-        raise SizeCap(f"n = {n} exceeds the enumeration cap {cap}")
-    make = rmatrix_fn if rmatrix_fn is not None else sos_rmatrix
-    cache = {}
-
-    def weight(i, j, a, b, g, d, k):
-        r = cache.get((i, j, k))
-        if r is None:
-            r = make(ctx, p.u[i - 1] - p.v[j - 1], p.lam + k * p.hbar, p.hbar)
-            cache[(i, j, k)] = r
-        return r.entry(a, b, g, d)
-
-    return _weight_sum(n, weight, parallel)
+    _check_cap(p.n, cap, "enumeration")
+    return _weight_sum(p.n, _sos_source(ctx, p, rmatrix_fn))
 
 
-def enumerate_trig_sos(p: TrigParams, cap: int = SIZE_CAP,
-                       parallel: bool = False) -> complex:
+def enumerate_trig_sos(p: TrigParams, cap: int = SIZE_CAP) -> complex:
     """Trigonometric dynamical SOS partition function by enumeration; the
     face offset k acts multiplicatively, mu -> mu * q^(2k)."""
-    if p.mu is None:
-        raise InvalidParameter("trigonometric SOS enumeration needs mu")
     p.validate()
-    n = p.n
-    if n > cap:
-        raise SizeCap(f"n = {n} exceeds the enumeration cap {cap}")
-    for k in range(-2 * n, 2 * n + 1):
-        val = p.mu * p.q ** (2 * k)
-        if abs(val - 1.0) < 1e-10:
-            raise DegenerateParameter(
-                f"mu*q^(2*{k}) = {val} hits 1 (dynamical denominator vanishes)")
-    cache = {}
-
-    def weight(i, j, a, b, g, d, k):
-        r = cache.get((i, j, k))
-        if r is None:
-            r = trig_sos_rmatrix(p.z[i - 1], p.w[j - 1],
-                                 p.mu * p.q ** (2 * k), p.q)
-            cache[(i, j, k)] = r
-        return r.entry(a, b, g, d)
-
-    return _weight_sum(n, weight, parallel)
+    _check_cap(p.n, cap, "enumeration")
+    return _weight_sum(p.n, _trig_source(p))
 
 
 def _transfer_contract(n: int, rfn) -> complex:
@@ -309,53 +304,27 @@ def _transfer_contract(n: int, rfn) -> complex:
     return complex(vec[(1,) * n])
 
 
-def _cached(builder):
-    cache = {}
-
-    def fetch(i, j, k):
-        r = cache.get((i, j, k))
-        if r is None:
-            r = builder(i, j, k)
-            cache[(i, j, k)] = r
-        return r
-
-    return fetch
-
-
 def column_transfer_z(ctx: ThetaContext, p: EllipticParams,
                       cap: int = SIZE_CAP) -> complex:
     """Elliptic SOS partition function as a product of column transfer
     matrices; the dynamical argument of vertex (i, j) is lam + k*hbar with
     the face offset k tracked through the contraction."""
     p.validate(ctx)
-    n = p.n
-    if n > cap:
-        raise SizeCap(f"n = {n} exceeds the transfer-matrix cap {cap}")
-    return _transfer_contract(n, _cached(
-        lambda i, j, k: sos_rmatrix(ctx, p.u[i - 1] - p.v[j - 1],
-                                    p.lam + k * p.hbar, p.hbar)))
+    _check_cap(p.n, cap, "transfer-matrix")
+    return _transfer_contract(p.n, _sos_source(ctx, p, None))
 
 
 def column_transfer_6v(p: TrigParams, cap: int = SIZE_CAP) -> complex:
     """Six-vertex partition function by the same column contraction; the
     weights carry no dynamical parameter, so the face offset is ignored."""
     p.validate()
-    n = p.n
-    if n > cap:
-        raise SizeCap(f"n = {n} exceeds the transfer-matrix cap {cap}")
-    return _transfer_contract(n, _cached(
-        lambda i, j, k: sixv_rmatrix(p.z[i - 1], p.w[j - 1], p.q)))
+    _check_cap(p.n, cap, "transfer-matrix")
+    return _transfer_contract(p.n, _sixv_source(p, None))
 
 
 def column_transfer_trig(p: TrigParams, cap: int = SIZE_CAP) -> complex:
     """Dynamical trigonometric partition function by column contraction;
     face offset k multiplies the dynamical parameter by q^(2k)."""
     p.validate()
-    if p.mu is None:
-        raise InvalidParameter("model needs the dynamical parameter mu")
-    n = p.n
-    if n > cap:
-        raise SizeCap(f"n = {n} exceeds the transfer-matrix cap {cap}")
-    return _transfer_contract(n, _cached(
-        lambda i, j, k: trig_sos_rmatrix(p.z[i - 1], p.w[j - 1],
-                                         p.mu * p.q ** (2 * k), p.q)))
+    _check_cap(p.n, cap, "transfer-matrix")
+    return _transfer_contract(p.n, _trig_source(p))

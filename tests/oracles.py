@@ -36,6 +36,27 @@ THETA_QUARTER_TAU_I = 0.22592445084764337
 
 
 # ---------------------------------------------------------------------------
+# Permutation sums over the symmetric group, for tests that symmetrise a
+# kernel by hand.  An inversion of sig is a pair of positions l < m whose
+# values are out of order; it is reported as the value pair (sig[l], sig[m]).
+# ---------------------------------------------------------------------------
+
+
+def inversions(sig):
+    return [(sig[l], sig[m])
+            for l, m in itertools.combinations(range(len(sig)), 2)
+            if sig[l] > sig[m]]
+
+
+def perm_sum(n, term):
+    """Sum of term(sig) over all n! permutations sig of range(n)."""
+    total = 0j
+    for sig in itertools.permutations(range(n)):
+        total += term(sig)
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Brute-force six-vertex DWBC partition function.
 #
 # Sums over all sign assignments of the interior edges, keeping only those

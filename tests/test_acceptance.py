@@ -21,11 +21,10 @@ from dwbc import (Character, EllipticParams, HeightField, ThetaContext,
                   trig_nondyn_rmatrix, trig_sos_rmatrix, vandermonde_ratio,
                   weight_kernel, ybe_residual_nondyn, z_6v_sum, z_izergin,
                   z_sos_elliptic, z_trig_sos)
-from dwbc.closedform import _inversions, _perm_sum
 
 from helpers import (draw_multiplicative, draw_spectral, record_criterion,
                      rel_diff)
-from oracles import theta_series
+from oracles import inversions, perm_sum, theta_series
 
 LAM, HBAR = 0.31, 0.17
 TAUS = [1j, 0.3 + 0.8j]
@@ -364,12 +363,12 @@ def test_criterion_12_kernel_symmetrization(ctx):
 
             def term(sig):
                 t = 1.0 + 0j
-                for a, b in _inversions(sig):
+                for a, b in inversions(sig):
                     t *= theta(ctx, v[a] - v[b] + HBAR) \
                         / theta(ctx, v[a] - v[b] - HBAR)
                 return t * weight_kernel(ctx, p, [v[s] for s in sig])
 
-            total = pref * _perm_sum(n, term, False)
+            total = pref * perm_sum(n, term)
             worst = max(worst, rel_diff(total, z_sos_elliptic(ctx, p)))
         det.append(f"max rel {worst:.1e}")
         assert worst < 1e-9

@@ -28,8 +28,8 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
-def run_dwbc(*argv):
-    """Run `python -m dwbc *argv` in a fresh interpreter.
+def run_python(*args):
+    """Run `python *args` in a fresh interpreter.
 
     The child finds the same `dwbc` package as this process, installed or
     not, because the directory holding it goes first on its PYTHONPATH.
@@ -38,9 +38,14 @@ def run_dwbc(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "dwbc", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env,
                           timeout=120)
+
+
+def run_dwbc(*argv):
+    """Run `python -m dwbc *argv` in a fresh interpreter."""
+    return run_python("-m", "dwbc", *argv)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +165,18 @@ def test_exit_two_on_tolerance_failure(capsys):
     assert "fail" in out
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_exit_two_on_non_finite_value(capsys):
+    # a lone route has nothing to compare with; its NaN must still fail
+    code, out, _ = run_main(capsys, "compute", "--model", "sos-elliptic",
+                            "--n", "6", "--tau", "0.02i", "--seed", "1",
+                            "--route", "transfer")
+    assert "nan" in out
+    assert "verdict: fail" in out
+    assert code == 2
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -168,9 +185,18 @@ def test_help_exits_zero(capsys):
     assert "compute" in proc.stdout
 
 
-def test_unknown_flag_exits_one():
+def test_unknown_flag_exits_one(capsys):
     proc = run_dwbc("compute", "--frobnicate")
     assert proc.returncode == 1
+    assert main(["compute", "--parallel"]) == 1   # removed, not ignored
+    assert "--parallel" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    proc = run_python("-c", "import sys, dwbc.cli; print(sorted(m for m in "
+                      "sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_is_wired():
@@ -212,7 +238,7 @@ def test_report_values_are_re_im_pairs(capsys):
 
 
 # ---------------------------------------------------------------------------
-# seeds and parallelism
+# seeds
 # ---------------------------------------------------------------------------
 
 def strip_timings(rep):
@@ -232,17 +258,6 @@ def test_different_seeds_draw_different_parameters(capsys):
     _, rep1, _ = run_json(capsys, "compute", "--n", "3", "--seed", "1")
     _, rep2, _ = run_json(capsys, "compute", "--n", "3", "--seed", "2")
     assert rep1["config"]["z"] != rep2["config"]["z"]
-
-
-def test_parallel_matches_sequential(capsys):
-    _, rep_p, _ = run_json(capsys, "compute", "--model", "six-vertex",
-                           "--n", "5", "--seed", "4", "--parallel")
-    _, rep_s, _ = run_json(capsys, "compute", "--model", "six-vertex",
-                           "--n", "5", "--seed", "4")
-    for rp, rs in zip(rep_p["results"], rep_s["results"]):
-        vp = complex(rp["value"][0], rp["value"][1])
-        vs = complex(rs["value"][0], rs["value"][1])
-        assert rel_diff(vp, vs) < 1e-12
 
 
 # ---------------------------------------------------------------------------

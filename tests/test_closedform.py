@@ -7,10 +7,9 @@ from dwbc import (DegenerateParameter, EllipticParams, SizeCap, ThetaContext,
                   TrigParams, enumerate_6v, enumerate_sos, enumerate_trig_sos,
                   recursion_factor, theta, weight_kernel, z_6v_sum,
                   z_izergin, z_sos_elliptic, z_trig_sos)
-from dwbc.closedform import _inversions, _perm_sum
 
 from helpers import draw_multiplicative, draw_spectral, rel_diff
-from oracles import sixv_bruteforce
+from oracles import inversions, perm_sum, sixv_bruteforce
 
 # Pinned regression values, produced by two independently implemented routes
 # agreeing to ~1e-15 (state sum vs permutation sum; determinant vs the
@@ -161,22 +160,12 @@ def test_kernel_symmetrization(ctx, rng, n):
 
     def term(sig):
         t = 1.0 + 0j
-        for a, b in _inversions(sig):
+        for a, b in inversions(sig):
             t *= theta(ctx, v[a] - v[b] + hbar) / theta(ctx, v[a] - v[b] - hbar)
         return t * weight_kernel(ctx, p, [v[s] for s in sig])
 
-    total = pref * _perm_sum(n, term, False)
+    total = pref * perm_sum(n, term)
     assert rel_diff(total, z_sos_elliptic(ctx, p)) < 1e-9
-
-
-def test_parallel_sums_match(ctx, rng):
-    p = EllipticParams(draw_spectral(rng, 4), draw_spectral(rng, 4),
-                       0.31, 0.17)
-    assert rel_diff(z_sos_elliptic(ctx, p, parallel=True),
-                    z_sos_elliptic(ctx, p)) < 1e-12
-    p6 = TrigParams(draw_multiplicative(rng, 5),
-                    draw_multiplicative(rng, 5, 1.6, 2.6), 1.3)
-    assert rel_diff(z_6v_sum(p6, parallel=True), z_6v_sum(p6)) < 1e-12
 
 
 def test_factorial_cap(ctx):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from dwbc import (EllipticParams, HeightField, SignConfig, SizeCap,
-                  ThetaContext, TrigParams, asm_number, column_transfer_6v,
-                  column_transfer_trig, column_transfer_z,
+from dwbc import (DegenerateParameter, EllipticParams, HeightField,
+                  SignConfig, SizeCap, ThetaContext, TrigParams, asm_number,
+                  column_transfer_6v, column_transfer_trig, column_transfer_z,
                   count_configurations, dwbc_sign_configs, enumerate_6v,
                   enumerate_sos, enumerate_trig_sos, sos_rmatrix, theta)
 
@@ -131,21 +131,16 @@ def test_weight_rebuild_from_sign_configs(ctx, rng, n):
     assert rel_diff(total, direct) < 1e-12
 
 
-def test_parallel_matches_sequential(ctx, rng):
-    n = 5
-    p6 = TrigParams(draw_multiplicative(rng, n),
-                    draw_multiplicative(rng, n, 1.6, 2.6), 1.3)
-    assert rel_diff(enumerate_6v(p6, parallel=True),
-                    enumerate_6v(p6)) < 1e-12
-    n = 4
-    pe = EllipticParams(draw_spectral(rng, n), draw_spectral(rng, n),
-                        0.31, 0.17)
-    assert rel_diff(enumerate_sos(ctx, pe, parallel=True),
-                    enumerate_sos(ctx, pe)) < 1e-12
+def test_trig_routes_share_the_dynamical_guard(rng):
+    """mu*q^(2k) = 1 at a face offset k < 0, which only the routes see;
+    enumeration and transfer reject it alike."""
+    n = 2
     pt = TrigParams(draw_multiplicative(rng, n),
-                    draw_multiplicative(rng, n, 1.6, 2.6), 1.3, mu=0.7)
-    assert rel_diff(enumerate_trig_sos(pt, parallel=True),
-                    enumerate_trig_sos(pt)) < 1e-12
+                    draw_multiplicative(rng, n, 1.6, 2.6), 1.3,
+                    mu=1.6900000000169)
+    for route in (enumerate_trig_sos, column_transfer_trig):
+        with pytest.raises(DegenerateParameter, match=r"mu\*q"):
+            route(pt)
 
 
 def test_size_cap(ctx):
