@@ -29,7 +29,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -48,10 +47,11 @@ from .rmatrix import EllipticParams, TrigParams, dybe_residual, \
     trig_nondyn_rmatrix, trig_sos_rmatrix, ybe_residual_nondyn
 from .theta import ThetaContext
 
-MODELS = ("sos-elliptic", "sos-trig", "six-vertex")
+# flags of each model's column and row parameter lists
+_PARAMETER_NAMES = {"sos-elliptic": ("u", "v"), "sos-trig": ("z", "w"),
+                   "six-vertex": ("z", "w")}
+MODELS = tuple(_PARAMETER_NAMES)
 ROUTES = ("enumerate", "transfer", "sum", "determinant", "all")
-SUITES = ("symmetry", "recursion", "character", "dybe", "degeneration",
-          "appendix", "all")
 PROXY_TOL = 1e-6
 
 REPORT_SCHEMA = {
@@ -112,53 +112,6 @@ def parse_complex(text: str) -> complex:
     return complex(s)
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; a given config (with its seed) fixes
-    the numerical output exactly."""
-
-    command: str
-    model: str = "six-vertex"
-    route: str = "all"
-    suite: str = "all"
-    n: int = 3
-    seed: int = 0
-    tau: complex = 1j
-    lam: complex = 0.31
-    hbar: complex = 0.17
-    q: complex = 1.3
-    mu: complex = 0.7
-    u: list | None = None
-    v: list | None = None
-    z: list | None = None
-    w: list | None = None
-    tolerance: float = 1e-9
-    output_format: str = "text"
-
-    def validate(self) -> None:
-        if self.n < 1:
-            raise InvalidParameter(f"n must be >= 1, got {self.n}")
-        if self.tolerance <= 0:
-            raise InvalidParameter(f"tolerance must be positive, got {self.tolerance}")
-        if self.route == "determinant" and self.model != "six-vertex":
-            raise InvalidParameter(
-                "route 'determinant' applies only to model 'six-vertex'")
-        for name in ("u", "v", "z", "w"):
-            lst = getattr(self, name)
-            if lst is not None and len(lst) != self.n:
-                raise InvalidParameter(
-                    f"--{name} lists {len(lst)} values but n = {self.n}")
-        pair = self.parameter_names()
-        given = [name for name in pair if getattr(self, name) is not None]
-        if len(given) == 1:
-            raise InvalidParameter(
-                f"--{pair[0]} and --{pair[1]} must be given together")
-
-    def parameter_names(self) -> tuple:
-        """Flags of the model's column and row parameter lists."""
-        return ("u", "v") if self.model == "sos-elliptic" else ("z", "w")
-
-
 def _draw_box(rng, n: int) -> list:
     re_part = rng.uniform(0.1, 0.9, n)
     im_part = rng.uniform(-0.05, 0.05, n)
@@ -174,7 +127,7 @@ def draw_parameters(n: int, seed: int) -> tuple:
 def _rel(a: complex, b: complex) -> float:
     a, b = complex(a), complex(b)
     denom = max(abs(a), abs(b))
-    return abs(a - b) / denom if denom > 0 else 0.0
+    return abs(a - b) / denom if denom != 0 else 0.0
 
 
 def _rel_matrix(a: np.ndarray, b: np.ndarray) -> float:
@@ -193,7 +146,7 @@ def _cjson(x: complex) -> list:
     return [x.real, x.imag]
 
 
-def _config_echo(cfg: RunConfig) -> dict:
+def _config_echo(cfg: argparse.Namespace) -> dict:
     out = {
         "command": cfg.command, "model": cfg.model, "n": cfg.n,
         "seed": cfg.seed, "tolerance": cfg.tolerance,
@@ -212,7 +165,7 @@ def _config_echo(cfg: RunConfig) -> dict:
     return out
 
 
-def _model_routes(cfg: RunConfig, a: list, b: list) -> list:
+def _model_routes(cfg: argparse.Namespace, a: list, b: list) -> list:
     """(name, cap, nominal_terms, thunk) for every route of cfg.model on the
     column parameters a and row parameters b, in report order."""
     n = len(a)
@@ -240,8 +193,8 @@ def _model_routes(cfg: RunConfig, a: list, b: list) -> list:
     return [(name, *cost[name], thunk) for name, thunk in routes]
 
 
-def cmd_compute(cfg: RunConfig):
-    pair = cfg.parameter_names()
+def cmd_compute(cfg: argparse.Namespace):
+    pair = _PARAMETER_NAMES[cfg.model]
     if getattr(cfg, pair[0]) is None:
         for name, draw in zip(pair, draw_parameters(cfg.n, cfg.seed)):
             setattr(cfg, name, draw)
@@ -269,13 +222,13 @@ def cmd_compute(cfg: RunConfig):
         "command": "compute", "config": _config_echo(cfg), "results": results,
         "comparisons": comparisons, "verdict": verdict, "residuals": {},
     }
-    return report, (0 if ok else 2)
+    return report, (0 if ok else 2), []
 
 
 # ---------------------------------------------------------------------------
 # check suites: each returns a list of (name, residual, tolerance) rows.
 
-def _suite_symmetry(cfg: RunConfig) -> list:
+def _suite_symmetry(cfg: argparse.Namespace) -> list:
     ctx = ThetaContext(cfg.tau)
     rng = np.random.default_rng(cfg.seed)
     n = max(2, min(cfg.n, 4))
@@ -283,18 +236,17 @@ def _suite_symmetry(cfg: RunConfig) -> list:
     base = z_sos_elliptic(ctx, EllipticParams(u, v, cfg.lam, cfg.hbar))
     rows = []
     for t in range(3):
-        pu = rng.permutation(n)
-        zu = z_sos_elliptic(ctx, EllipticParams([u[k] for k in pu], v,
-                                                cfg.lam, cfg.hbar))
-        rows.append((f"symmetry.u_perm_{t}", _rel(zu, base), cfg.tolerance))
-        pv = rng.permutation(n)
-        zv = z_sos_elliptic(ctx, EllipticParams(u, [v[k] for k in pv],
-                                                cfg.lam, cfg.hbar))
-        rows.append((f"symmetry.v_perm_{t}", _rel(zv, base), cfg.tolerance))
+        for side, name in enumerate("uv"):
+            perm = rng.permutation(n)
+            uv = [u, v]
+            uv[side] = [uv[side][k] for k in perm]
+            z = z_sos_elliptic(ctx, EllipticParams(*uv, cfg.lam, cfg.hbar))
+            rows.append((f"symmetry.{name}_perm_{t}", _rel(z, base),
+                         cfg.tolerance))
     return rows
 
 
-def _suite_recursion(cfg: RunConfig) -> list:
+def _suite_recursion(cfg: argparse.Namespace) -> list:
     ctx = ThetaContext(cfg.tau)
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -309,37 +261,29 @@ def _suite_recursion(cfg: RunConfig) -> list:
     return rows
 
 
-def _suite_character(cfg: RunConfig) -> list:
+def _suite_character(cfg: argparse.Namespace) -> list:
     ctx = ThetaContext(cfg.tau)
     rng = np.random.default_rng(cfg.seed)
     n = max(1, min(cfg.n, 3))
     u, v = _draw_box(rng, n), _draw_box(rng, n)
     lam, hbar = cfg.lam, cfg.hbar
     rows = []
-    for i in range(n):
-        def f_u(x, i=i):
-            uu = list(u)
-            uu[i] = x
-            return z_sos_elliptic(ctx, EllipticParams(uu, v, lam, hbar))
+    # (side, alpha of the character in that side's variables, seed offset)
+    for side, alpha, offset in ((0, lam + sum(v), 11), (1, -lam + sum(u), 41)):
+        for i in range(n):
+            def f(x, side=side, i=i):
+                uv = [list(u), list(v)]
+                uv[side][i] = x
+                return z_sos_elliptic(ctx, EllipticParams(*uv, lam, hbar))
 
-        chi = Character(n, lam + sum(v))
-        res = membership_residual(ctx, f_u, chi, samples=5,
-                                  rng=np.random.default_rng(cfg.seed + 11 + i))
-        rows.append((f"character.u{i + 1}", res, cfg.tolerance))
-    for i in range(n):
-        def f_v(x, i=i):
-            vv = list(v)
-            vv[i] = x
-            return z_sos_elliptic(ctx, EllipticParams(u, vv, lam, hbar))
-
-        chi = Character(n, -lam + sum(u))
-        res = membership_residual(ctx, f_v, chi, samples=5,
-                                  rng=np.random.default_rng(cfg.seed + 41 + i))
-        rows.append((f"character.v{i + 1}", res, cfg.tolerance))
+            res = membership_residual(
+                ctx, f, Character(n, alpha), samples=5,
+                rng=np.random.default_rng(cfg.seed + offset + i))
+            rows.append((f"character.{'uv'[side]}{i + 1}", res, cfg.tolerance))
     return rows
 
 
-def _suite_dybe(cfg: RunConfig) -> list:
+def _suite_dybe(cfg: argparse.Namespace) -> list:
     ctx = ThetaContext(cfg.tau)
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -358,7 +302,7 @@ def _suite_dybe(cfg: RunConfig) -> list:
     return rows
 
 
-def _suite_degeneration(cfg: RunConfig) -> list:
+def _suite_degeneration(cfg: argparse.Namespace) -> list:
     rng = np.random.default_rng(cfg.seed)
     lam, hbar = cfg.lam, cfg.hbar
     q = cmath.exp(1j * math.pi * complex(hbar))
@@ -413,7 +357,7 @@ def _suite_degeneration(cfg: RunConfig) -> list:
     return rows
 
 
-def _suite_appendix(cfg: RunConfig) -> list:
+def _suite_appendix(cfg: argparse.Namespace) -> list:
     ctx = ThetaContext(cfg.tau)
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -468,9 +412,10 @@ _SUITE_FNS = {
     "degeneration": _suite_degeneration,
     "appendix": _suite_appendix,
 }
+SUITES = (*_SUITE_FNS, "all")
 
 
-def cmd_check(cfg: RunConfig):
+def cmd_check(cfg: argparse.Namespace):
     names = list(_SUITE_FNS) if cfg.suite == "all" else [cfg.suite]
     rows = []
     for name in names:
@@ -481,13 +426,12 @@ def cmd_check(cfg: RunConfig):
         "comparisons": [],
         "verdict": verdict,
         "residuals": {name: val for name, val, _ in rows},
-        # tolerances rendered in text mode; json keeps the values only
     }
-    report["_rows"] = rows
-    return report, (0 if verdict == "pass" else 2)
+    # the rows keep each residual's tolerance for the text rendering
+    return report, (0 if verdict == "pass" else 2), rows
 
 
-def cmd_bench(cfg: RunConfig):
+def cmd_bench(cfg: argparse.Namespace):
     results = []
     det_time = {}
     sum_time = {}
@@ -514,7 +458,7 @@ def cmd_bench(cfg: RunConfig):
         "comparisons": [], "verdict": "pass",
         "residuals": {"crossover_n": crossover},
     }
-    return report, 0
+    return report, 0, []
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +468,7 @@ def _fmt_value(pair) -> str:
     return f"{pair[0]:+.16e} {pair[1]:+.16e}i"
 
 
-def _render_text(report: dict) -> str:
+def _render_text(report: dict, rows: list) -> str:
     lines = [f"command: {report['command']}"]
     cfgd = report["config"]
     head = [f"model: {cfgd['model']}", f"n: {cfgd['n']}", f"seed: {cfgd['seed']}"]
@@ -550,28 +494,19 @@ def _render_text(report: dict) -> str:
         for cmp_ in report["comparisons"]:
             lines.append(f"compare {cmp_['a']} | {cmp_['b']}: rel_diff = "
                          f"{cmp_['rel_diff']:.3e}")
-        for name, val, tol in report.get("_rows", []):
+        for name, val, tol in rows:
             flag = "pass" if val <= tol else "FAIL"
             lines.append(f"{name:<34} residual = {val:.3e}  tol = {tol:.0e}  {flag}")
     lines.append(f"verdict: {report['verdict']}")
     return "\n".join(lines)
 
 
-def _emit(report: dict, fmt: str) -> None:
-    report = dict(report)
-    rows = report.pop("_rows", None)
-    if fmt == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        if rows is not None:
-            report["_rows"] = rows
-        print(_render_text(report))
-
-
 def _add_common(sub: argparse.ArgumentParser, default_n: int) -> None:
     sub.add_argument("--model", choices=MODELS, default="six-vertex")
     sub.add_argument("--n", type=int, default=None)
-    sub.set_defaults(default_n=default_n)
+    # fields a subcommand has no flag for, so every command reads them alike
+    sub.set_defaults(default_n=default_n, route="all", suite="all",
+                     u=None, v=None, z=None, w=None)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--tau", type=parse_complex, default=1j)
     sub.add_argument("--lambda", dest="lam", type=parse_complex, default=0.31)
@@ -593,14 +528,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = subs.add_parser("compute", help="evaluate one or all routes")
     _add_common(pc, default_n=3)
-    pc.add_argument("--route", choices=ROUTES, default="all")
+    pc.add_argument("--route", choices=ROUTES)
     pc.add_argument("--u", nargs="+", type=parse_complex)
     pc.add_argument("--v", nargs="+", type=parse_complex)
     pc.add_argument("--z", nargs="+", type=parse_complex)
     pc.add_argument("--w", nargs="+", type=parse_complex)
 
     pk = subs.add_parser("check", help="run a verification suite")
-    pk.add_argument("suite", nargs="?", choices=SUITES, default="all")
+    pk.add_argument("suite", nargs="?", choices=SUITES)
     _add_common(pk, default_n=3)
 
     pb = subs.add_parser("bench", help="time every route over n = 1..cap")
@@ -608,43 +543,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("model", "seed", "tau", "lam", "hbar", "q", "mu",
-                 "tolerance", "output_format", "route", "suite",
-                 "u", "v", "z", "w"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    explicit = next((getattr(cfg, k) for k in ("u", "v", "z", "w")
-                     if getattr(cfg, k) is not None), None)
-    if args.n is not None:
-        cfg.n = args.n
-    elif explicit is not None:
-        cfg.n = len(explicit)
-    else:
-        cfg.n = args.default_n
-    cfg.validate()
-    return cfg
+def _validate(cfg: argparse.Namespace) -> None:
+    if cfg.n < 1:
+        raise InvalidParameter(f"n must be >= 1, got {cfg.n}")
+    if cfg.tolerance <= 0:
+        raise InvalidParameter(f"tolerance must be positive, got {cfg.tolerance}")
+    if cfg.route == "determinant" and cfg.model != "six-vertex":
+        raise InvalidParameter(
+            "route 'determinant' applies only to model 'six-vertex'")
+    for name in ("u", "v", "z", "w"):
+        lst = getattr(cfg, name)
+        if lst is not None and len(lst) != cfg.n:
+            raise InvalidParameter(
+                f"--{name} lists {len(lst)} values but n = {cfg.n}")
+    pair = _PARAMETER_NAMES[cfg.model]
+    given = [name for name in pair if getattr(cfg, name) is not None]
+    if len(given) == 1:
+        raise InvalidParameter(
+            f"--{pair[0]} and --{pair[1]} must be given together")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        cfg = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    if cfg.n is None:
+        explicit = next((lst for lst in (cfg.u, cfg.v, cfg.z, cfg.w)
+                         if lst is not None), None)
+        cfg.n = cfg.default_n if explicit is None else len(explicit)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "compute":
-            report, code = cmd_compute(cfg)
-        elif args.command == "check":
-            report, code = cmd_check(cfg)
-        else:
-            report, code = cmd_bench(cfg)
+        _validate(cfg)
+        # looked up by name at call time, so a rebound cmd_* is the one run
+        report, code, rows = globals()[f"cmd_{cfg.command}"](cfg)
     except DwbcError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, cfg.output_format)
+    print(json.dumps(report, indent=2) if cfg.output_format == "json"
+          else _render_text(report, rows))
     return code
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateNodes, DegenerateParameter, InvalidParameter
-from .theta import ThetaContext, is_on_lattice, theta
+from .errors import DegenerateNodes, InvalidParameter
+from .theta import ThetaContext, is_on_lattice, require_off_lattice, theta
 
 _SAMPLE_SEED = 20107
 
@@ -174,25 +174,13 @@ def addition_formula_residual(ctx: ThetaContext, lambdas, us,
             f"need one lambda per u, n >= 1; got {len(lambdas)} and {len(us)}")
     lam0 = sum(lambdas)
     for i, l in enumerate(lambdas):
-        if is_on_lattice(ctx, l):
-            raise DegenerateParameter(
-                f"lambdas[{i + 1}] = {l} lies on the lattice Gamma "
-                f"(theta denominator vanishes)")
-    if is_on_lattice(ctx, lam0):
-        raise DegenerateParameter(
-            f"sum(lambdas) = {lam0} lies on the lattice Gamma "
-            f"(theta denominator vanishes)")
+        require_off_lattice(ctx, l, f"lambdas[{i + 1}]")
+    require_off_lattice(ctx, lam0, "sum(lambdas)")
     for i, ui in enumerate(us):
-        if is_on_lattice(ctx, ui - v):
-            raise DegenerateParameter(
-                f"us[{i + 1}] - v = {ui - v} lies on the lattice Gamma "
-                f"(theta denominator vanishes)")
+        require_off_lattice(ctx, ui - v, f"us[{i + 1}] - v")
     for i in range(len(us)):
         for j in range(i):
-            if is_on_lattice(ctx, us[i] - us[j]):
-                raise DegenerateParameter(
-                    f"us[{i + 1}] - us[{j + 1}] = {us[i] - us[j]} lies on the "
-                    f"lattice Gamma (theta denominator vanishes)")
+            require_off_lattice(ctx, us[i] - us[j], f"us[{i + 1}] - us[{j + 1}]")
 
     def g(x, l):
         return theta(ctx, x + l) / (theta(ctx, x) * theta(ctx, l))
@@ -232,10 +220,7 @@ def qj_interpolation_residual(ctx: ThetaContext, us, lam: complex,
         raise InvalidParameter("need n >= 2 variables")
     if not 2 <= j <= n:
         raise InvalidParameter(f"j must lie in [2, {n}], got {j}")
-    if is_on_lattice(ctx, lam):
-        raise DegenerateParameter(
-            f"lambda = {lam} lies on the lattice Gamma (theta denominator "
-            f"vanishes)")
+    require_off_lattice(ctx, lam, "lambda")
 
     def q_of(x):
         t = theta(ctx, us[j - 1] - x + lam - (n - 2 * j + 2) * hbar) \

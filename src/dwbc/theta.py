@@ -34,6 +34,8 @@ from .errors import DegenerateParameter, InvalidParameter
 
 _TRUNCATION_TARGET = 1e-16
 _TRUNCATION_FLOOR = 1e-12
+_MAX_TERMS = 4000       # product factors a context may use
+_LATTICE_WINDOW = 50    # |m|, |n| searched by is_on_lattice
 
 
 @dataclass(frozen=True)
@@ -42,13 +44,11 @@ class ThetaContext:
 
     Immutable and stateless after construction, so a single context can be
     shared freely between threads.  Construction fails if Im(tau) <= 0 or
-    if the nome is so close to the unit circle that `max_terms` product
-    factors cannot reach a 1e-12 tail.
+    if the nome is so close to the unit circle that 4000 product factors
+    cannot reach a 1e-12 tail.
     """
 
     tau: complex
-    max_terms: int = 4000
-    lattice_window: int = 50
     nome_p: complex = field(init=False)
     truncation_terms: int = field(init=False)
 
@@ -65,12 +65,12 @@ class ThetaContext:
             terms = 1
         else:
             terms = max(1, math.ceil(math.log(_TRUNCATION_TARGET) / math.log(ap)))
-            if terms > self.max_terms:
-                if ap ** self.max_terms >= _TRUNCATION_FLOOR:
+            if terms > _MAX_TERMS:
+                if ap ** _MAX_TERMS >= _TRUNCATION_FLOOR:
                     raise InvalidParameter(
-                        f"|nome| = {ap:.8f} is too close to 1: {self.max_terms} "
+                        f"|nome| = {ap:.8f} is too close to 1: {_MAX_TERMS} "
                         f"product terms cannot push the tail below {_TRUNCATION_FLOOR:g}")
-                terms = self.max_terms
+                terms = _MAX_TERMS
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "nome_p", p)
         object.__setattr__(self, "truncation_terms", terms)
@@ -120,10 +120,10 @@ def theta_deriv_at_zero(ctx: ThetaContext) -> complex:
 
 
 def is_on_lattice(ctx: ThetaContext, x: complex, tol: float = 1e-10) -> bool:
-    """True if x lies within tol of some m + n*tau, |m|, |n| <= lattice_window."""
+    """True if x lies within tol of some m + n*tau, |m|, |n| <= 50."""
     x = complex(x)
     tau = ctx.tau
-    win = ctx.lattice_window
+    win = _LATTICE_WINDOW
     n0 = round(x.imag / tau.imag)
     for dn in (0, -1, 1):
         n = n0 + dn

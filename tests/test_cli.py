@@ -12,7 +12,7 @@ import pytest
 import dwbc.__main__
 import dwbc.cli
 from dwbc import theta, ThetaContext
-from dwbc.cli import REPORT_SCHEMA, main, parse_complex
+from dwbc.cli import REPORT_SCHEMA, draw_parameters, main, parse_complex
 
 from helpers import rel_diff
 
@@ -167,14 +167,20 @@ def test_exit_two_on_tolerance_failure(capsys):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-def test_exit_two_on_non_finite_value(capsys):
-    # a lone route has nothing to compare with; its NaN must still fail
+@pytest.mark.parametrize("route", ["transfer", "all"])
+def test_exit_two_on_non_finite_value(capsys, route):
+    # a lone route has nothing to compare with; its NaN must still fail,
+    # and a comparison of NaN values must not read as agreement
     code, out, _ = run_main(capsys, "compute", "--model", "sos-elliptic",
                             "--n", "6", "--tau", "0.02i", "--seed", "1",
-                            "--route", "transfer")
+                            "--route", route)
     assert "nan" in out
     assert "verdict: fail" in out
     assert code == 2
+    comparisons = [line for line in out.splitlines()
+                   if line.startswith("compare ")]
+    assert len(comparisons) == (3 if route == "all" else 0)
+    assert all(line.endswith("rel_diff = nan") for line in comparisons)
 
 
 def test_help_exits_zero(capsys):
@@ -235,6 +241,24 @@ def test_report_values_are_re_im_pairs(capsys):
     _, rep, _ = run_json(capsys, "compute", "--n", "2")
     for result in rep["results"]:
         assert isinstance(result["value"], list) and len(result["value"]) == 2
+
+
+def test_config_echo_of_default_flags(capsys):
+    common = {"model": "six-vertex", "seed": 0, "tolerance": 1e-9,
+              "format": "json", "tau": [0.0, 1.0], "lambda": [0.31, 0.0],
+              "hbar": [0.17, 0.0], "q": [1.3, 0.0], "mu": [0.7, 0.0]}
+    z, w = draw_parameters(3, 0)
+    expected = {
+        "compute": {"n": 3, "route": "all",
+                    "z": [[x.real, x.imag] for x in z],
+                    "w": [[x.real, x.imag] for x in w]},
+        "check": {"n": 3, "suite": "all"},
+        "bench": {"n": 5},
+    }
+    for command, extra in expected.items():
+        code, rep, _ = run_json(capsys, command)
+        assert code == 0, command
+        assert rep["config"] == {"command": command, **common, **extra}
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from dwbc import (Character, DegenerateNodes, EllipticParams, ThetaContext,
-                  addition_formula_residual, interpolate,
+from dwbc import (Character, DegenerateNodes, DegenerateParameter,
+                  EllipticParams, ThetaContext, addition_formula_residual, interpolate,
                   membership_residual, qj_interpolation_residual, theta,
                   theta_product_poly, vandermonde_ratio, z_sos_elliptic)
 
@@ -143,6 +143,23 @@ def test_addition_formula_has_content(ctx, rng):
         * np.prod([g(uj - ui, lams[j]) for j, uj in enumerate(us) if j != i])
         for i, ui in enumerate(us))
     assert abs(lhs - rhs_bad) / max(1.0, abs(lhs)) > 1e-3
+
+
+@pytest.mark.parametrize("lambdas,us,v,name", [
+    ([0.21, 1.0, 0.13], [0.1, 0.35, 0.6], 0.4, r"lambdas\[2\]"),
+    ([0.3, 0.7], [0.1, 0.35], 0.4, r"sum\(lambdas\)"),
+    ([0.21, 0.13], [0.1, 1.4], 0.4, r"us\[2\] - v"),
+    ([0.21, 0.13], [0.1, 1.1], 0.4, r"us\[2\] - us\[1\]"),
+    (None, [0.1, 0.3], None, r"^lambda = "),
+])
+def test_lattice_guards_name_the_argument(ctx, lambdas, us, v, name):
+    """Each theta denominator of the addition formula and of the Q_j
+    interpolation is guarded, and the error names the argument."""
+    with pytest.raises(DegenerateParameter, match=name + ".*lattice"):
+        if lambdas is None:
+            qj_interpolation_residual(ctx, us, 1 + ctx.tau, 0.17, 2, 0.37)
+        else:
+            addition_formula_residual(ctx, lambdas, us, v)
 
 
 @pytest.mark.parametrize("n,j", [(2, 2), (3, 2), (3, 3), (5, 4)])

@@ -99,6 +99,8 @@ def test_context_rejects_bad_tau():
         ThetaContext(0.5)          # real tau
     with pytest.raises(InvalidParameter):
         ThetaContext(0.3 - 0.2j)   # lower half plane
+    with pytest.raises(InvalidParameter, match="too close to 1"):
+        ThetaContext(0.001j)       # 4000 product factors leave a 1e-11 tail
 
 
 def test_off_lattice_guard_names_the_argument(ctx):
@@ -113,3 +115,5 @@ def test_truncation_scales_with_nome():
     assert ThetaContext(0.05j).truncation_terms > ThetaContext(1j).truncation_terms
     # huge Im tau: nome underflows, a single factor suffices
     assert ThetaContext(200j).truncation_terms == 1
+    # the 1e-16 target needs ~4500 factors; 4000 still reach the 1e-12 floor
+    assert ThetaContext(0.0013j).truncation_terms == 4000
