@@ -33,8 +33,8 @@ from math import factorial
 
 import numpy as np
 
-from .closedform import FACTORIAL_CAP, recursion_factor, weight_kernel, \
-    z_6v_sum, z_izergin, z_sos_elliptic, z_trig_sos
+from .closedform import FACTORIAL_CAP, recursion_factor, z_6v_sum, \
+    z_izergin, z_sos_elliptic, z_trig_sos
 from .ellpoly import Character, interpolate, membership_residual, \
     addition_formula_residual, qj_interpolation_residual, theta_product_poly, \
     vandermonde_ratio
@@ -53,6 +53,7 @@ _PARAMETER_NAMES = {"sos-elliptic": ("u", "v"), "sos-trig": ("z", "w"),
 MODELS = tuple(_PARAMETER_NAMES)
 ROUTES = ("enumerate", "transfer", "sum", "determinant", "all")
 PROXY_TOL = 1e-6
+_NUMBER = {"type": ["number", "null"]}   # null stands for a non-finite value
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -71,7 +72,7 @@ REPORT_SCHEMA = {
                 "additionalProperties": False,
                 "properties": {
                     "route": {"type": "string"},
-                    "value": {"type": "array", "items": {"type": "number"},
+                    "value": {"type": "array", "items": _NUMBER,
                               "minItems": 2, "maxItems": 2},
                     "time_ms": {"type": "number"},
                     "n": {"type": "integer"},
@@ -88,13 +89,13 @@ REPORT_SCHEMA = {
                 "properties": {
                     "a": {"type": "string"},
                     "b": {"type": "string"},
-                    "rel_diff": {"type": "number"},
+                    "rel_diff": _NUMBER,
                 },
             },
         },
         "verdict": {"enum": ["pass", "fail"]},
         "residuals": {"type": "object",
-                      "additionalProperties": {"type": "number"}},
+                      "additionalProperties": _NUMBER},
     },
 }
 
@@ -468,6 +469,15 @@ def _fmt_value(pair) -> str:
     return f"{pair[0]:+.16e} {pair[1]:+.16e}i"
 
 
+def _json_safe(obj):
+    """obj with each non-finite float as None: JSON has null, not NaN."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_json_safe(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _render_text(report: dict, rows: list) -> str:
     lines = [f"command: {report['command']}"]
     cfgd = report["config"]
@@ -546,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(cfg: argparse.Namespace) -> None:
     if cfg.n < 1:
         raise InvalidParameter(f"n must be >= 1, got {cfg.n}")
-    if cfg.tolerance <= 0:
+    if not cfg.tolerance > 0:
         raise InvalidParameter(f"tolerance must be positive, got {cfg.tolerance}")
     if cfg.route == "determinant" and cfg.model != "six-vertex":
         raise InvalidParameter(
@@ -580,8 +590,8 @@ def main(argv=None) -> int:
     except DwbcError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(report, indent=2) if cfg.output_format == "json"
-          else _render_text(report, rows))
+    print(json.dumps(_json_safe(report), indent=2, allow_nan=False)
+          if cfg.output_format == "json" else _render_text(report, rows))
     return code
 
 

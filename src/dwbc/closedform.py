@@ -11,12 +11,13 @@ so sums are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 import warnings
 from itertools import permutations
 
 import numpy as np
 
-from .errors import DegenerateParameter, InvalidParameter, SizeCap
+from .errors import DegenerateParameter, InvalidParameter, _check_cap
 from .rmatrix import EllipticParams, TrigParams
 from .theta import ThetaContext, require_off_lattice, theta
 
@@ -53,8 +54,7 @@ def _perm_sum(G, F):
     return sum(term(sig) for sig in permutations(range(len(F))))
 
 
-def z_sos_elliptic(ctx: ThetaContext, p: EllipticParams,
-                   cap: int = FACTORIAL_CAP) -> complex:
+def z_sos_elliptic(ctx: ThetaContext, p: EllipticParams) -> complex:
     """Elliptic SOS domain-wall partition function as a permutation sum.
 
     With th = theta(. | tau), 1-based indices and sigma running over all
@@ -75,8 +75,7 @@ def z_sos_elliptic(ctx: ThetaContext, p: EllipticParams,
     """
     p.validate(ctx)
     n = p.n
-    if n > cap:
-        raise SizeCap(f"n = {n} exceeds the permutation-sum cap {cap} (n! terms)")
+    _check_cap(n, FACTORIAL_CAP, "permutation-sum")
     u, v, lam, hbar = p.u, p.v, p.lam, p.hbar
     for k in range(n):
         for m in range(k):
@@ -176,9 +175,7 @@ def z_izergin(p: TrigParams) -> complex:
             RuntimeWarning, stacklevel=2)
     det = complex(np.linalg.det(mat))
 
-    pref = (q - 1.0 / q) ** n
-    for wm in w:
-        pref *= wm
+    pref = math.prod(w, start=(q - 1.0 / q) ** n)
     num = 1.0 + 0j
     for i in range(n):
         for j in range(n):
@@ -202,7 +199,7 @@ def _trig_tables(z, w, q):
     return G, F
 
 
-def z_6v_sum(p: TrigParams, cap: int = FACTORIAL_CAP) -> complex:
+def z_6v_sum(p: TrigParams) -> complex:
     """Six-vertex domain-wall partition function as a permutation sum:
 
         Z = (q - 1/q)^n prod_m w_m
@@ -214,21 +211,18 @@ def z_6v_sum(p: TrigParams, cap: int = FACTORIAL_CAP) -> complex:
     """
     p.validate()
     n = p.n
-    if n > cap:
-        raise SizeCap(f"n = {n} exceeds the permutation-sum cap {cap} (n! terms)")
+    _check_cap(n, FACTORIAL_CAP, "permutation-sum")
     z, w, q = p.z, p.w, p.q
     _guard_distinct(w, "w", q=q)
 
-    pref = (q - 1.0 / q) ** n
-    for wm in w:
-        pref *= wm
+    pref = math.prod(w, start=(q - 1.0 / q) ** n)
     for i in range(n):
         for j in range(i):
             pref *= (w[i] / q - q * w[j]) / (w[i] - w[j])
     return pref * _perm_sum(*_trig_tables(z, w, q))
 
 
-def z_trig_sos(p: TrigParams, cap: int = FACTORIAL_CAP) -> complex:
+def z_trig_sos(p: TrigParams) -> complex:
     """Trigonometric dynamical SOS partition function as a permutation sum:
 
         Z = prod_{k>m} (w_k/q - q w_m) / (w_k - w_m)
@@ -248,8 +242,7 @@ def z_trig_sos(p: TrigParams, cap: int = FACTORIAL_CAP) -> complex:
         raise InvalidParameter("the trigonometric SOS partition sum needs mu")
     p.validate()
     n = p.n
-    if n > cap:
-        raise SizeCap(f"n = {n} exceeds the permutation-sum cap {cap} (n! terms)")
+    _check_cap(n, FACTORIAL_CAP, "permutation-sum")
     z, w, q, mu = p.z, p.w, p.q, p.mu
     _guard_distinct(w, "w", q=q)
 

@@ -9,7 +9,7 @@ Two independent routes live here:
 * contraction of a product of column transfer matrices, carrying the
   dynamical shift through spectator spaces.
 
-Both cost exponentially in n and are capped (default n <= 6); they exist
+Both cost exponentially in n and are capped at n <= SIZE_CAP = 6; they exist
 to cross-check the closed forms, not to be fast.
 
 Geometry conventions.  Columns i = 1..n are numbered right to left, rows
@@ -27,12 +27,13 @@ taken at dynamical parameter lam + k*hbar.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import factorial
 
 import numpy as np
 
-from .errors import DegenerateParameter, InvalidParameter, SizeCap
+from .errors import InvalidParameter, _check_cap
 from .rmatrix import EllipticParams, TrigParams, sixv_rmatrix, sos_rmatrix, \
     trig_sos_rmatrix
 from .theta import ThetaContext
@@ -99,15 +100,10 @@ def _weight_sum(n, source):
     return from_col(1, (-1,) * n)
 
 
-def _check_cap(n, cap, route):
-    if n > cap:
-        raise SizeCap(f"n = {n} exceeds the {route} cap {cap}")
-
-
-def count_configurations(n: int, cap: int = SIZE_CAP) -> int:
+def count_configurations(n: int) -> int:
     """Number of ice configurations compatible with domain-wall boundaries
     (equals the alternating-sign-matrix number)."""
-    _check_cap(n, cap, "enumeration")
+    _check_cap(n, SIZE_CAP, "enumeration")
     total = _weight_sum(n, None)
     return int(round(total.real))
 
@@ -138,10 +134,10 @@ class SignConfig:
         return cls(*arrs)
 
 
-def dwbc_sign_configs(n: int, cap: int = SIZE_CAP):
+def dwbc_sign_configs(n: int):
     """Yield every SignConfig compatible with domain-wall boundaries,
     in the deterministic depth-first order of the enumerator."""
-    _check_cap(n, cap, "enumeration")
+    _check_cap(n, SIZE_CAP, "enumeration")
     target = (1,) * n
 
     def rec(i, right, acc):
@@ -194,25 +190,12 @@ class HeightField:
         return int(bad)
 
 
-def _cached(builder):
-    cache = {}
-
-    def fetch(i, j, k):
-        r = cache.get((i, j, k))
-        if r is None:
-            r = builder(i, j, k)
-            cache[(i, j, k)] = r
-        return r
-
-    return fetch
-
-
 def _sos_source(ctx, p, rmatrix_fn):
     """Elliptic SOS weights: vertex (i, j) at face offset k sees the
     dynamical parameter lam + k*hbar."""
     make = rmatrix_fn or sos_rmatrix
-    return _cached(lambda i, j, k: make(ctx, p.u[i - 1] - p.v[j - 1],
-                                        p.lam + k * p.hbar, p.hbar))
+    return cache(lambda i, j, k: make(ctx, p.u[i - 1] - p.v[j - 1],
+                                      p.lam + k * p.hbar, p.hbar))
 
 
 def _sixv_source(p, rmatrix_fn):
@@ -225,32 +208,27 @@ def _sixv_source(p, rmatrix_fn):
 
 def _trig_source(p):
     """Trigonometric SOS weights: face offset k acts multiplicatively,
-    mu -> mu * q^(2k).  Offsets stay within |k| <= 2n, and each of those
-    must keep the dynamical denominator 1 - mu q^(2k) away from zero."""
+    mu -> mu * q^(2k); TrigParams.validate keeps 1 - mu q^(2k) off zero
+    for every offset |k| <= 2n the routes reach."""
     if p.mu is None:
         raise InvalidParameter("the trigonometric SOS model needs mu")
-    for k in range(-2 * p.n, 2 * p.n + 1):
-        val = p.mu * p.q ** (2 * k)
-        if abs(val - 1.0) < 1e-10:
-            raise DegenerateParameter(
-                f"mu*q^(2*{k}) = {val} hits 1 (dynamical denominator vanishes)")
-    return _cached(lambda i, j, k: trig_sos_rmatrix(
+    return cache(lambda i, j, k: trig_sos_rmatrix(
         p.z[i - 1], p.w[j - 1], p.mu * p.q ** (2 * k), p.q))
 
 
-def enumerate_6v(p: TrigParams, rmatrix_fn=None, cap: int = SIZE_CAP) -> complex:
+def enumerate_6v(p: TrigParams, rmatrix_fn=None) -> complex:
     """Six-vertex domain-wall partition function by brute-force enumeration.
 
     rmatrix_fn(z, w, q) -> RMatrix4 may replace the standard weights (e.g.
     a gauge-transformed matrix); the default is sixv_rmatrix.
     """
     p.validate()
-    _check_cap(p.n, cap, "enumeration")
+    _check_cap(p.n, SIZE_CAP, "enumeration")
     return _weight_sum(p.n, _sixv_source(p, rmatrix_fn))
 
 
-def enumerate_sos(ctx: ThetaContext, p: EllipticParams, rmatrix_fn=None,
-                  cap: int = SIZE_CAP) -> complex:
+def enumerate_sos(ctx: ThetaContext, p: EllipticParams,
+                  rmatrix_fn=None) -> complex:
     """Elliptic SOS domain-wall partition function by brute-force enumeration.
 
     Heights appear only through the offset k of each face, so weights are
@@ -258,15 +236,15 @@ def enumerate_sos(ctx: ThetaContext, p: EllipticParams, rmatrix_fn=None,
     may replace sos_rmatrix.
     """
     p.validate(ctx)
-    _check_cap(p.n, cap, "enumeration")
+    _check_cap(p.n, SIZE_CAP, "enumeration")
     return _weight_sum(p.n, _sos_source(ctx, p, rmatrix_fn))
 
 
-def enumerate_trig_sos(p: TrigParams, cap: int = SIZE_CAP) -> complex:
+def enumerate_trig_sos(p: TrigParams) -> complex:
     """Trigonometric dynamical SOS partition function by enumeration; the
     face offset k acts multiplicatively, mu -> mu * q^(2k)."""
     p.validate()
-    _check_cap(p.n, cap, "enumeration")
+    _check_cap(p.n, SIZE_CAP, "enumeration")
     return _weight_sum(p.n, _trig_source(p))
 
 
@@ -304,27 +282,26 @@ def _transfer_contract(n: int, rfn) -> complex:
     return complex(vec[(1,) * n])
 
 
-def column_transfer_z(ctx: ThetaContext, p: EllipticParams,
-                      cap: int = SIZE_CAP) -> complex:
+def column_transfer_z(ctx: ThetaContext, p: EllipticParams) -> complex:
     """Elliptic SOS partition function as a product of column transfer
     matrices; the dynamical argument of vertex (i, j) is lam + k*hbar with
     the face offset k tracked through the contraction."""
     p.validate(ctx)
-    _check_cap(p.n, cap, "transfer-matrix")
+    _check_cap(p.n, SIZE_CAP, "transfer-matrix")
     return _transfer_contract(p.n, _sos_source(ctx, p, None))
 
 
-def column_transfer_6v(p: TrigParams, cap: int = SIZE_CAP) -> complex:
+def column_transfer_6v(p: TrigParams) -> complex:
     """Six-vertex partition function by the same column contraction; the
     weights carry no dynamical parameter, so the face offset is ignored."""
     p.validate()
-    _check_cap(p.n, cap, "transfer-matrix")
+    _check_cap(p.n, SIZE_CAP, "transfer-matrix")
     return _transfer_contract(p.n, _sixv_source(p, None))
 
 
-def column_transfer_trig(p: TrigParams, cap: int = SIZE_CAP) -> complex:
+def column_transfer_trig(p: TrigParams) -> complex:
     """Dynamical trigonometric partition function by column contraction;
     face offset k multiplies the dynamical parameter by q^(2k)."""
     p.validate()
-    _check_cap(p.n, cap, "transfer-matrix")
+    _check_cap(p.n, SIZE_CAP, "transfer-matrix")
     return _transfer_contract(p.n, _trig_source(p))

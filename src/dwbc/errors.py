@@ -19,3 +19,8 @@ class DegenerateNodes(DegenerateParameter):
 
 class SizeCap(DwbcError, ValueError):
     """Requested size exceeds the configured cost cap for this route."""
+
+
+def _check_cap(n: int, cap: int, route: str) -> None:
+    if n > cap:
+        raise SizeCap(f"n = {n} exceeds the {route} cap {cap}")

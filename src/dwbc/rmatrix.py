@@ -19,13 +19,12 @@ eigen-sectors of H = diag(1, -1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateParameter, InvalidParameter
-from .theta import ThetaContext, require_off_lattice, theta
+from .theta import _LATTICE_TOL, ThetaContext, require_off_lattice, theta
 
 
 def _pair_index(a: int, b: int) -> int:
@@ -110,7 +109,7 @@ class EllipticParams:
     def n(self) -> int:
         return len(self.u)
 
-    def validate(self, ctx: ThetaContext, tol: float = 1e-10) -> None:
+    def validate(self, ctx: ThetaContext) -> None:
         """Check every dynamical theta denominator reachable at this size.
 
         Face heights across a domain-wall lattice shift lam by integer
@@ -118,10 +117,10 @@ class EllipticParams:
         lattice for all |k| <= 2n, and hbar itself must be off-lattice
         (else every c-weight vanishes identically).
         """
-        require_off_lattice(ctx, self.hbar, "hbar", tol)
+        require_off_lattice(ctx, self.hbar, "hbar")
         for k in range(-2 * self.n, 2 * self.n + 1):
             require_off_lattice(ctx, self.lam + k * self.hbar,
-                                f"lambda + {k}*hbar", tol)
+                                f"lambda + {k}*hbar")
 
 
 @dataclass(frozen=True)
@@ -149,17 +148,18 @@ class TrigParams:
     def n(self) -> int:
         return len(self.z)
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
+        """Check q, and 1 - mu q^(2k) for every face offset |k| <= 2n."""
         if self.q == 0:
             raise InvalidParameter("q must be nonzero")
-        if abs(self.q * self.q - 1.0) < tol:
+        if abs(self.q * self.q - 1.0) < _LATTICE_TOL:
             raise DegenerateParameter(
                 f"q = {self.q} has q^2 = 1: q - 1/q vanishes and with it "
                 f"every c-weight")
         if self.mu is not None:
-            for k in range(self.n):
+            for k in range(-2 * self.n, 2 * self.n + 1):
                 val = self.mu * self.q ** (2 * k)
-                if abs(val - 1.0) < tol:
+                if abs(val - 1.0) < _LATTICE_TOL:
                     raise DegenerateParameter(
                         f"mu*q^(2*{k}) = {val} hits 1 (dynamical denominator "
                         f"1 - mu*q^(2k) vanishes)")
@@ -264,25 +264,17 @@ def ice_rule_residual(r: RMatrix4) -> float:
     return float(np.max(np.abs(comm)))
 
 
-def _flat3(idx) -> int:
-    return 4 * idx[0] + 2 * idx[1] + idx[2]
-
-
 def _embed3(r_of_sign, a: int, b: int, c: int) -> np.ndarray:
     """8x8 operator acting as r_of_sign(s) on spaces (a, b), where s is the
     sign (+1/-1) carried by the spectator space c.  Spaces are numbered
     0, 1, 2; index 0 of each two-state factor means sign +1."""
-    out_m = np.zeros((8, 8), dtype=complex)
+    out = np.zeros((2,) * 6, dtype=complex)   # (out0, out1, out2, in0, in1, in2)
     for sc in (0, 1):
         g = r_of_sign(1 if sc == 0 else -1).reshape(2, 2, 2, 2)
-        for ao, bo, ai, bi in product(range(2), repeat=4):
-            row = [0, 0, 0]
-            col = [0, 0, 0]
-            row[a], col[a] = ao, ai
-            row[b], col[b] = bo, bi
-            row[c] = col[c] = sc
-            out_m[_flat3(row), _flat3(col)] = g[ao, bo, ai, bi]
-    return out_m
+        sl = [slice(None)] * 6
+        sl[c] = sl[3 + c] = sc                  # leaves (out, out, in, in) of a, b
+        out[tuple(sl)] = g if a < b else g.transpose(1, 0, 3, 2)
+    return out.reshape(8, 8)
 
 
 def dybe_residual_from_builder(builder, x12, x13, x23) -> float:

@@ -35,7 +35,7 @@ from .errors import DegenerateParameter, InvalidParameter
 _TRUNCATION_TARGET = 1e-16
 _TRUNCATION_FLOOR = 1e-12
 _MAX_TERMS = 4000       # product factors a context may use
-_LATTICE_WINDOW = 50    # |m|, |n| searched by is_on_lattice
+_LATTICE_TOL = 1e-10    # distance below which a point counts as on Gamma
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,15 @@ def _cell_value(ctx: ThetaContext, u: complex) -> complex:
     return cmath.sin(math.pi * u) / math.pi * prod
 
 
+def _reduce(ctx: ThetaContext, u: complex) -> tuple:
+    """(m, n, u0) with u = u0 + m + n*tau and u0 in the fundamental cell."""
+    u = complex(u)
+    n = round(u.imag / ctx.tau.imag)
+    u1 = u - n * ctx.tau
+    m = round(u1.real)
+    return m, n, complex(u1.real - m, u1.imag)
+
+
 def theta(ctx: ThetaContext, u: complex) -> complex:
     """Evaluate theta(u | tau) for any complex argument.
 
@@ -95,17 +104,12 @@ def theta(ctx: ThetaContext, u: complex) -> complex:
     (m, n) along (1, tau); the accumulated quasi-periodicity phase is exact,
     so the translation laws hold to rounding error by construction.
     """
-    u = complex(u)
-    tau = ctx.tau
-    n = round(u.imag / tau.imag)
-    u1 = u - n * tau
-    m = round(u1.real)
-    u0 = complex(u1.real - m, u1.imag)
+    m, n, u0 = _reduce(ctx, u)
     value = _cell_value(ctx, u0)
     if m == 0 and n == 0:
         return value
     sign = -1.0 if (m + n) % 2 else 1.0
-    phase = cmath.exp(-2j * math.pi * n * u0 - 1j * math.pi * n * n * tau)
+    phase = cmath.exp(-2j * math.pi * n * u0 - 1j * math.pi * n * n * ctx.tau)
     return sign * phase * value
 
 
@@ -119,35 +123,21 @@ def theta_deriv_at_zero(ctx: ThetaContext) -> complex:
     return (theta(ctx, h) - theta(ctx, -h)) / (2.0 * h)
 
 
-def is_on_lattice(ctx: ThetaContext, x: complex, tol: float = 1e-10) -> bool:
-    """True if x lies within tol of some m + n*tau, |m|, |n| <= 50."""
-    x = complex(x)
-    tau = ctx.tau
-    win = _LATTICE_WINDOW
-    n0 = round(x.imag / tau.imag)
-    for dn in (0, -1, 1):
-        n = n0 + dn
-        if abs(n) > win:
-            continue
-        rem = x - n * tau
-        m0 = round(rem.real)
-        for dm in (0, -1, 1):
-            m = m0 + dm
-            if abs(m) > win:
-                continue
-            if abs(rem - m) <= tol:
-                return True
-    return False
+def is_on_lattice(ctx: ThetaContext, x: complex,
+                  tol: float = _LATTICE_TOL) -> bool:
+    """True if x lies within tol of the lattice point m + n*tau that theta's
+    reduction subtracts from it.  No other point of Gamma is that close
+    while 2*tol < Im(tau); every ThetaContext has Im(tau) > 1e-3."""
+    return abs(_reduce(ctx, x)[2]) <= tol
 
 
-def require_off_lattice(ctx: ThetaContext, x: complex, name: str,
-                        tol: float = 1e-10) -> None:
+def require_off_lattice(ctx: ThetaContext, x: complex, name: str) -> None:
     """Raise DegenerateParameter if x sits on the period lattice Gamma.
 
     `name` identifies the offending theta argument in the diagnostic, e.g.
     "lambda + 3*hbar" or "v[3] - v[1]".
     """
-    if is_on_lattice(ctx, x, tol):
+    if is_on_lattice(ctx, x):
         raise DegenerateParameter(
-            f"{name} = {complex(x)} lies on the lattice Gamma within {tol:g} "
-            f"(theta denominator vanishes)")
+            f"{name} = {complex(x)} lies on the lattice Gamma within "
+            f"{_LATTICE_TOL:g} (theta denominator vanishes)")

@@ -143,12 +143,24 @@ def test_exit_one_on_bad_n(capsys):
     assert "parameter error" in err
 
 
-def test_exit_one_on_lattice_lambda(capsys):
+@pytest.mark.parametrize("flag, value", [("--lambda", "0"), ("--lambda", "60"),
+                                         ("--hbar", "55")])
+def test_exit_one_on_lattice_lambda(capsys, flag, value):
+    # 60 and 55 are lattice points far from the origin
     code, _, err = run_main(
         capsys, "compute", "--model", "sos-elliptic", "--n", "2",
-        "--lambda", "0", "--hbar", "0.17")
+        "--lambda", "0.31", "--hbar", "0.17", flag, value)
     assert code == 1
-    assert "lambda" in err and "lattice" in err
+    assert flag[2:] in err and "lattice" in err
+
+
+@pytest.mark.parametrize("argv", [("compute",), ("check", "dybe")],
+                         ids=["compute", "check-dybe"])
+def test_exit_one_on_nan_tolerance(capsys, argv):
+    code, out, err = run_main(capsys, *argv, "--tolerance", "nan")
+    assert code == 1
+    assert out == ""
+    assert "tolerance must be positive, got nan" in err
 
 
 def test_exit_one_on_overcap_route(capsys):
@@ -167,13 +179,13 @@ def test_exit_two_on_tolerance_failure(capsys):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("route", ["transfer", "all"])
+@pytest.mark.parametrize("route", ["transfer", "all", "sum"])
 def test_exit_two_on_non_finite_value(capsys, route):
     # a lone route has nothing to compare with; its NaN must still fail,
     # and a comparison of NaN values must not read as agreement
-    code, out, _ = run_main(capsys, "compute", "--model", "sos-elliptic",
-                            "--n", "6", "--tau", "0.02i", "--seed", "1",
-                            "--route", route)
+    argv = ("compute", "--model", "sos-elliptic", "--n", "6", "--tau", "0.02i",
+            "--seed", "1", "--route", route)
+    code, out, _ = run_main(capsys, *argv)
     assert "nan" in out
     assert "verdict: fail" in out
     assert code == 2
@@ -181,6 +193,21 @@ def test_exit_two_on_non_finite_value(capsys, route):
                    if line.startswith("compare ")]
     assert len(comparisons) == (3 if route == "all" else 0)
     assert all(line.endswith("rel_diff = nan") for line in comparisons)
+
+    # JSON has no NaN token: non-finite values are written as null
+    code, out, _ = run_main(capsys, *argv, "--format", "json")
+    assert code == 2
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    rep = json.loads(out, parse_constant=refuse)
+    jsonschema.validate(rep, REPORT_SCHEMA)
+    assert rep["verdict"] == "fail"
+    assert [r["value"] for r in rep["results"]] == [[None, None]] * (
+        3 if route == "all" else 1)
+    assert len(rep["comparisons"]) == len(comparisons)
+    assert all(c["rel_diff"] is None for c in rep["comparisons"])
 
 
 def test_help_exits_zero(capsys):

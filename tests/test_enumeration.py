@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from dwbc import (DegenerateParameter, EllipticParams, HeightField,
-                  SignConfig, SizeCap, ThetaContext, TrigParams, asm_number,
-                  column_transfer_6v, column_transfer_trig, column_transfer_z,
+from dwbc import (FACTORIAL_CAP, SIZE_CAP, DegenerateParameter,
+                  EllipticParams, HeightField, SignConfig, SizeCap,
+                  ThetaContext, TrigParams, asm_number, column_transfer_6v,
+                  column_transfer_trig, column_transfer_z,
                   count_configurations, dwbc_sign_configs, enumerate_6v,
-                  enumerate_sos, enumerate_trig_sos, sos_rmatrix, theta)
+                  enumerate_sos, enumerate_trig_sos, sos_rmatrix, theta,
+                  z_6v_sum, z_sos_elliptic, z_trig_sos)
 
 from helpers import draw_multiplicative, draw_spectral, rel_diff
 from oracles import sixv_bruteforce
@@ -133,28 +135,55 @@ def test_weight_rebuild_from_sign_configs(ctx, rng, n):
 
 def test_trig_routes_share_the_dynamical_guard(rng):
     """mu*q^(2k) = 1 at a face offset k < 0, which only the routes see;
-    enumeration and transfer reject it alike."""
+    enumeration, transfer and the permutation sum reject it alike."""
     n = 2
     pt = TrigParams(draw_multiplicative(rng, n),
                     draw_multiplicative(rng, n, 1.6, 2.6), 1.3,
                     mu=1.6900000000169)
-    for route in (enumerate_trig_sos, column_transfer_trig):
+    for route in (enumerate_trig_sos, column_transfer_trig, z_trig_sos):
         with pytest.raises(DegenerateParameter, match=r"mu\*q"):
             route(pt)
 
 
-def test_size_cap(ctx):
-    n = 7
-    p = TrigParams([1.0] * n, [2.0] * n, 1.3)
-    with pytest.raises(SizeCap):
-        enumerate_6v(p)
-    pe = EllipticParams([0.4] * n, [0.1] * n, 0.31, 0.17)
-    with pytest.raises(SizeCap):
-        column_transfer_z(ctx, pe)
-    with pytest.raises(SizeCap):
-        column_transfer_6v(p)
-    with pytest.raises(SizeCap):
-        list(dwbc_sign_configs(n))
-    # an explicit cap widens the limit
-    with pytest.raises(SizeCap):
-        enumerate_6v(TrigParams([1.0] * 2, [2.0] * 2, 1.3), cap=1)
+def _elliptic(n):
+    return EllipticParams([0.1 * k + 0.05 for k in range(n)],
+                          [0.1 * k for k in range(n)], 0.31, 0.17)
+
+
+def _trig(n, mu=None):
+    return TrigParams([1.0 + 0.1 * k for k in range(n)],
+                      [2.0 + 0.1 * k for k in range(n)], 1.3, mu)
+
+
+# (route, its cap, call at size n); every capped public function is listed
+CAPPED = {
+    "enumerate_6v": ("enumeration", SIZE_CAP,
+                     lambda c, n: enumerate_6v(_trig(n))),
+    "enumerate_sos": ("enumeration", SIZE_CAP,
+                      lambda c, n: enumerate_sos(c, _elliptic(n))),
+    "enumerate_trig_sos": ("enumeration", SIZE_CAP,
+                           lambda c, n: enumerate_trig_sos(_trig(n, 0.7))),
+    "count_configurations": ("enumeration", SIZE_CAP,
+                             lambda c, n: count_configurations(n)),
+    "dwbc_sign_configs": ("enumeration", SIZE_CAP,
+                          lambda c, n: list(dwbc_sign_configs(n))),
+    "column_transfer_z": ("transfer-matrix", SIZE_CAP,
+                          lambda c, n: column_transfer_z(c, _elliptic(n))),
+    "column_transfer_6v": ("transfer-matrix", SIZE_CAP,
+                           lambda c, n: column_transfer_6v(_trig(n))),
+    "column_transfer_trig": ("transfer-matrix", SIZE_CAP,
+                             lambda c, n: column_transfer_trig(_trig(n, 0.7))),
+    "z_sos_elliptic": ("permutation-sum", FACTORIAL_CAP,
+                       lambda c, n: z_sos_elliptic(c, _elliptic(n))),
+    "z_6v_sum": ("permutation-sum", FACTORIAL_CAP,
+                 lambda c, n: z_6v_sum(_trig(n))),
+    "z_trig_sos": ("permutation-sum", FACTORIAL_CAP,
+                   lambda c, n: z_trig_sos(_trig(n, 0.7))),
+}
+
+
+@pytest.mark.parametrize("name", CAPPED)
+def test_size_cap(ctx, name):
+    route, cap, call = CAPPED[name]
+    with pytest.raises(SizeCap, match=f"exceeds the {route} cap {cap}$"):
+        call(ctx, cap + 1)

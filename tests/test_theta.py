@@ -72,6 +72,12 @@ def test_zero_set_is_exactly_the_lattice(tau):
             # lattice point, amplified by the quasi-periodicity phase
             assert abs(theta(ctx, m + n * tau)) < 1e-10
             assert is_on_lattice(ctx, m + n * tau)
+    # the guard has no search window: far lattice points are found too
+    for x in (60, 51 + tau, 3 + 70 * tau, -80 - 55 * tau):
+        assert is_on_lattice(ctx, x)
+        with pytest.raises(DegenerateParameter, match="lattice"):
+            require_off_lattice(ctx, x, "x")
+        assert not is_on_lattice(ctx, x + 0.01)
     # nearby but off-lattice points are not zeros
     for u in (0.02, 1.03 + tau, 0.5, 0.5 * tau):
         assert abs(theta(ctx, u)) > 1e-8
