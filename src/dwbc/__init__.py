@@ -27,6 +27,7 @@ __all__ = [
     "Character", "DegenerateNodes", "DegenerateParameter", "DwbcError",
     "EllipticParams", "FACTORIAL_CAP", "HeightField", "InvalidParameter",
     "RMatrix4", "SIZE_CAP", "SignConfig", "SizeCap", "ThetaContext",
+    "TrigParams",
     "addition_formula_residual", "asm_number", "column_transfer_6v",
     "column_transfer_trig", "column_transfer_z",
     "count_configurations", "dwbc_sign_configs", "dybe_residual",

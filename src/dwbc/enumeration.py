@@ -2,15 +2,14 @@
 
 Two independent routes live here:
 
-* explicit enumeration of every ice configuration compatible with
-  domain-wall boundary conditions (depth-first over columns, pruned by
-  sign conservation at each vertex), summing the product of vertex
-  weights per configuration;
+* a sum over every ice configuration compatible with domain-wall
+  boundary conditions, built column by column and memoized on the
+  (column, right-edge signs) state, so each state is expanded once;
 * contraction of a product of column transfer matrices, carrying the
-  dynamical shift through spectator spaces.
+  dynamical shift through spectator spaces, one batched matrix product
+  per (column, row) step.
 
-Both cost exponentially in n and are capped at n <= SIZE_CAP = 6; they exist
-to cross-check the closed forms, not to be fast.
+Both cost exponentially in n and are capped at n <= SIZE_CAP = 6.
 
 Geometry conventions.  Columns i = 1..n are numbered right to left, rows
 j = 1..n bottom to top.  The vertex in column i, row j carries edge signs
@@ -88,9 +87,13 @@ def _column_branches(n, i, right, source, record=False):
 
 
 def _weight_sum(n, source):
-    """Sum of weight products over all domain-wall ice configurations."""
+    """Sum of weight products over all domain-wall ice configurations.
+
+    from_col(i, right), the summed weight of columns i..n given column i's
+    right-edge signs, is memoized on that state for this call only."""
     target = (1,) * n
 
+    @cache
     def from_col(i, right):
         if i > n:
             return 1.0 + 0j if right == target else 0j
@@ -266,18 +269,13 @@ def _transfer_contract(n: int, rfn) -> complex:
         w[1] = vec                              # auxiliary enters with sign -1
         base_k = n - i
         for j in range(1, n + 1):
-            axis_j = 1 + (n - j)
-            spect = list(range(1, axis_j))      # spaces l > j, still in input state
-            new_w = np.empty_like(w)
-            for bits in product((0, 1), repeat=len(spect)):
-                ssum = sum(1 if b == 0 else -1 for b in bits)
-                g = rfn(i, j, base_k + ssum).m.reshape(2, 2, 2, 2)
-                sl = [slice(None)] * w.ndim
-                for ax, bit in zip(spect, bits):
-                    sl[ax] = bit
-                sub = w[tuple(sl)]
-                new_w[tuple(sl)] = np.tensordot(g, sub, axes=([2, 3], [0, 1]))
-            w = new_w
+            s = n - j                           # spaces l > j, still in input state
+            # one vertex matrix per sign pattern of those spaces, in index order
+            g = np.stack([rfn(i, j, base_k + s - 2 * sum(bits)).m
+                          for bits in product((0, 1), repeat=s)])
+            ws = w.reshape(2, 2 ** s, 2, -1).swapaxes(0, 1)  # pattern first
+            w = (g @ ws.reshape(2 ** s, 4, -1)).reshape(ws.shape) \
+                .swapaxes(0, 1).reshape(w.shape)
         vec = w[0]                              # auxiliary exits with sign +1
     return complex(vec[(1,) * n])
 

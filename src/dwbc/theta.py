@@ -102,14 +102,21 @@ def theta(ctx: ThetaContext, u: complex) -> complex:
 
     The argument is translated into the fundamental cell by integer steps
     (m, n) along (1, tau); the accumulated quasi-periodicity phase is exact,
-    so the translation laws hold to rounding error by construction.
+    so the translation laws hold to rounding error by construction.  A phase
+    beyond the float range raises InvalidParameter.
     """
     m, n, u0 = _reduce(ctx, u)
     value = _cell_value(ctx, u0)
     if m == 0 and n == 0:
         return value
     sign = -1.0 if (m + n) % 2 else 1.0
-    phase = cmath.exp(-2j * math.pi * n * u0 - 1j * math.pi * n * n * ctx.tau)
+    try:
+        phase = cmath.exp(-2j * math.pi * n * u0
+                          - 1j * math.pi * n * n * ctx.tau)
+    except OverflowError:
+        raise InvalidParameter(
+            f"theta({complex(u)} | tau = {ctx.tau}) overflows: its "
+            f"quasi-periodicity phase exceeds the float range") from None
     return sign * phase * value
 
 

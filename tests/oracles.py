@@ -8,6 +8,8 @@ library and the oracle cannot share a bug.
 import cmath
 import itertools
 
+import numpy as np
+
 # ---------------------------------------------------------------------------
 # Theta function via the alternating sine series
 #
@@ -128,3 +130,36 @@ def sixv_bruteforce(z, w, q):
                 break
             total += weight
     return total
+
+
+# ---------------------------------------------------------------------------
+# Column transfer contraction, one tensordot per spectator sign pattern.
+#
+# Same contraction as the package's transfer route, written as the plain
+# loop: at step (column i, row j) the rows l > j still hold their input
+# signs, and each pattern of those signs fixes the face offset k of the
+# vertex, so it gets its own 4x4 matrix rfn(i, j, k).m.  Spaces are stored
+# in the order (auxiliary, n, n-1, ..., 1); index 0 means sign +1.
+# ---------------------------------------------------------------------------
+
+
+def transfer_contract_loop(n, rfn):
+    vec = np.zeros((2,) * n, dtype=complex)
+    vec[(0,) * n] = 1.0
+    for i in range(n, 0, -1):
+        w = np.zeros((2,) + vec.shape, dtype=complex)
+        w[1] = vec                              # auxiliary enters with sign -1
+        for j in range(1, n + 1):
+            spect = range(1, 1 + n - j)
+            new_w = np.empty_like(w)
+            for bits in itertools.product((0, 1), repeat=len(spect)):
+                k = (n - i) + sum(1 if b == 0 else -1 for b in bits)
+                g = rfn(i, j, k).m.reshape(2, 2, 2, 2)
+                sl = [slice(None)] * w.ndim
+                for ax, bit in zip(spect, bits):
+                    sl[ax] = bit
+                new_w[tuple(sl)] = np.tensordot(g, w[tuple(sl)],
+                                                axes=([2, 3], [0, 1]))
+            w = new_w
+        vec = w[0]                              # auxiliary exits with sign +1
+    return complex(vec[(1,) * n])

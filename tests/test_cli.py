@@ -154,6 +154,16 @@ def test_exit_one_on_lattice_lambda(capsys, flag, value):
     assert flag[2:] in err and "lattice" in err
 
 
+def test_exit_one_on_theta_phase_overflow():
+    # Im(lambda) = 50 puts theta's argument 50 periods up the tau axis,
+    # where the quasi-periodicity phase exceeds the float range
+    proc = run_dwbc("compute", "--model", "sos-elliptic", "--n", "2",
+                    "--lambda", "0.31+50i")
+    assert proc.returncode == 1
+    assert "overflows" in proc.stderr and "tau = 1j" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [("compute",), ("check", "dybe")],
                          ids=["compute", "check-dybe"])
 def test_exit_one_on_nan_tolerance(capsys, argv):
@@ -230,6 +240,11 @@ def test_import_loads_no_scipy():
                       "sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_all_names_resolve():
+    assert "TrigParams" in dwbc.__all__
+    assert [name for name in dwbc.__all__ if not hasattr(dwbc, name)] == []
 
 
 def test_console_script_is_wired():
