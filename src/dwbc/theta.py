@@ -10,18 +10,42 @@ with tau in the upper half-plane.  It is entire and odd, vanishes exactly
 on the period lattice Gamma = Z + Z*tau, and degenerates to sin(pi*u)/pi
 as Im(tau) -> +inf.
 
-Evaluation reduces the argument into the fundamental cell |Re u| <= 1/2,
-|Im u| <= Im(tau)/2 via the translation law
+Evaluation first reduces the argument into the fundamental cell
+|Re u| <= 1/2, |Im u| <= Im(tau)/2 of the caller's lattice via
 
-    theta(u + m + n*tau) = (-1)^(m+n) exp(-2*pi*i*n*u - pi*i*n^2*tau) theta(u)
+    theta(u + m + n*tau) = (-1)^(m+n) exp(-2*pi*i*n*u - pi*i*n^2*tau) theta(u).
 
-and then applies the truncated product representation
+Product path.  When |tau - round(Re tau)| >= 1, so that Im(tau) >= sqrt(3)/2,
+the cell value is the truncated product
 
     theta(u) = sin(pi*u)/pi * prod_{k=1..N} (1 - p^k E)(1 - p^k / E) / (1 - p^k)^2
 
 with E = exp(2*pi*i*u) and nome p = exp(2*pi*i*tau).  The depth N is fixed
 per context so that |p|^N < 1e-16; inside the cell |p^k E^{+-1}| <= |p|^(k-1/2),
-so the neglected tail is below machine precision.
+so the neglected tail is below machine precision, and N <= 7.
+
+Reduced frame.  Any other tau is carried to the SL(2, Z) fundamental domain
+(DLMF 20.7(viii)) by the two modular identities of this normalization,
+
+    theta(u | tau + 1) = theta(u | tau),
+    theta(u | t)       = t * exp(-i*pi*u^2/t) * theta(u/t | -1/t),
+
+applied as t <- tau - round(Re tau), then an S step while |t| < 1, repeated.
+The last S step and the sine factor fold into two exponentials, with
+c = -i*pi/t and v = u - M for the integer M that takes u to its cell up to
+multiples of t:
+
+    theta(v | t) = t/(2*pi*i) * (exp(c*v*(v - 1)) - exp(c*v*(v + 1)))
+                   * prod_{k=1..K} (1 - exp(2c(k - v)))(1 - exp(2c(k + v)))
+                     / (1 - exp(2ck))^2.
+
+Every factor of the product has |.| <= |exp(2c)|^(k - 3/4) with
+Im(-1/t) >= sqrt(3)/2, so K <= 7; on the imaginary axis K = 0 once
+Im(tau) < 0.04.  The exponents grow like 1/Im(tau) (about 39 at
+tau = 0.02i), and a plain double would lose that many times the unit
+roundoff; so c is stored as a double-double and each exponent is formed
+with error-free transforms (Dekker's product, Knuth's sum).  A value
+beyond the float range raises InvalidParameter.
 """
 
 from __future__ import annotations
@@ -33,9 +57,9 @@ from dataclasses import dataclass, field
 from .errors import DegenerateParameter, InvalidParameter
 
 _TRUNCATION_TARGET = 1e-16
-_TRUNCATION_FLOOR = 1e-12
-_MAX_TERMS = 4000       # product factors a context may use
 _LATTICE_TOL = 1e-10    # distance below which a point counts as on Gamma
+_PI_LO = 1.2246467991473532e-16   # pi - math.pi, the tail of pi's double-double
+_SPLIT = 134217729.0    # 2**27 + 1, Dekker's splitter for a 53-bit mantissa
 
 
 @dataclass(frozen=True)
@@ -43,37 +67,175 @@ class ThetaContext:
     """Modular parameter with its derived nome and truncation depth.
 
     Immutable and stateless after construction, so a single context can be
-    shared freely between threads.  Construction fails if Im(tau) <= 0 or
-    if the nome is so close to the unit circle that 4000 product factors
-    cannot reach a 1e-12 tail.
+    shared freely between threads.  Construction fails unless
+    Im(tau) > 2 * 1e-10, the lattice guard's tolerance: below that, two
+    lattice points could both lie within the tolerance of one argument.
+    `truncation_terms` is the number of product factors one evaluation
+    multiplies, in the reduced frame when tau has one.
     """
 
     tau: complex
     nome_p: complex = field(init=False)
     truncation_terms: int = field(init=False)
+    _frame: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tau = complex(self.tau)
-        if not tau.imag > 0.0:
+        if not tau.imag > 2 * _LATTICE_TOL:
             raise InvalidParameter(
-                f"tau = {tau} must have strictly positive imaginary part")
+                f"tau = {tau} must have Im(tau) > 2*{_LATTICE_TOL:g}, twice "
+                f"the lattice guard's tolerance")
         p = cmath.exp(2j * math.pi * tau)
-        ap = abs(p)
-        if ap == 0.0:
+        frame = _reduced_frame(tau)
+        if frame is not None:
+            terms = len(frame[4])
+        elif p == 0.0:
             # Nome underflowed (huge Im tau): the product is empty and the
             # function is exactly the trigonometric limit.
             terms = 1
         else:
-            terms = max(1, math.ceil(math.log(_TRUNCATION_TARGET) / math.log(ap)))
-            if terms > _MAX_TERMS:
-                if ap ** _MAX_TERMS >= _TRUNCATION_FLOOR:
-                    raise InvalidParameter(
-                        f"|nome| = {ap:.8f} is too close to 1: {_MAX_TERMS} "
-                        f"product terms cannot push the tail below {_TRUNCATION_FLOOR:g}")
-                terms = _MAX_TERMS
+            terms = max(1, math.ceil(math.log(_TRUNCATION_TARGET)
+                                     / math.log(abs(p))))
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "nome_p", p)
         object.__setattr__(self, "truncation_terms", terms)
+        object.__setattr__(self, "_frame", frame)
+
+
+def _minus_i_pi_over(t: complex) -> tuple:
+    """-i*pi/t as a double-double (hi, lo) pair of complex numbers: the
+    double quotient q plus one Newton correction (-i*pi - q*t)/t, whose
+    residual is formed exactly (q*t by _mul, then a cancelling subtraction
+    that is exact by Sterbenz's lemma)."""
+    q = -1j * math.pi / t
+    qt_hi, qt_lo = _mul(q, 0j, t)
+    residual = (-1j * math.pi - qt_hi) + (-1j * _PI_LO - qt_lo)
+    return _two_sum(q, residual / t)
+
+
+def _reduced_frame(tau: complex):
+    """(n0, steps, last, scale, powers) for a tau outside the fundamental
+    domain, else None.
+
+    n0 = round(Re tau).  Each S step is taken at a t reduced by its T step,
+    while |t| < 1 (strictly, so |tau| = 1 keeps the product path), and is
+    stored as (t, c_hi, c_lo) with c = -i*pi/t as a double-double.  `steps`
+    holds every S step but the last, each with the t of the step after it;
+    `last` is the final S step, whose sine factor and product are folded
+    together.  scale = t/(2*pi*i) / prod_{k<=K} (1 - exp(2ck))^2 for that
+    step, and `powers` holds p'^k = exp(2ck) for k = 1..K.
+    """
+    n0 = round(tau.real)
+    t = tau - n0
+    levels = []
+    while abs(t) < 1.0:
+        levels.append((t, *_minus_i_pi_over(t)))
+        s = -1.0 / t
+        t = s - round(s.real)
+    if not levels:
+        return None
+    # |exp(2c(k -+ v))| <= |p'|^(k - 3/4) with log|p'| = -2*pi*Im(t)
+    terms = max(0, math.ceil(math.log(_TRUNCATION_TARGET)
+                             / (-2.0 * math.pi * t.imag) - 0.25))
+    last = levels[-1]
+    powers = tuple(cmath.exp(2.0 * k * last[1]) for k in range(1, terms + 1))
+    scale = last[0] / (2j * math.pi)
+    for pk in powers:
+        scale /= (1.0 - pk) ** 2
+    steps = tuple(step + (after[0],) for step, after in zip(levels, levels[1:]))
+    return n0, steps, last, scale, powers
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth); complex
+    arguments are handled componentwise."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _mul(hi: complex, lo: complex, z: complex) -> tuple:
+    """(hi + lo) * z as a double-double pair: the four real products of
+    hi * z are exact by Dekker's split, so the error is that of lo * z and
+    of the tail sums, about 2^-104 |hi * z|."""
+    a, b, x, y = hi.real, hi.imag, z.real, z.imag
+    s = _SPLIT * a
+    ah = s - (s - a)
+    al = a - ah
+    s = _SPLIT * b
+    bh = s - (s - b)
+    bl = b - bh
+    s = _SPLIT * x
+    xh = s - (s - x)
+    xl = x - xh
+    s = _SPLIT * y
+    yh = s - (s - y)
+    yl = y - yh
+    ax, by, ay, bx = a * x, b * y, a * y, b * x
+    e_re = (((ah * xh - ax) + ah * xl + al * xh) + al * xl
+            - (((bh * yh - by) + bh * yl + bl * yh) + bl * yl))
+    e_im = (((ah * yh - ay) + ah * yl + al * yh) + al * yl
+            + (((bh * xh - bx) + bh * xl + bl * xh) + bl * xl))
+    s, e = _two_sum(complex(ax, ay), complex(-by, bx))
+    return s, e + complex(e_re, e_im) + lo * z
+
+
+def _add(x: tuple, y: tuple) -> tuple:
+    """Sum of two double-double pairs."""
+    s, e = _two_sum(x[0], y[0])
+    return s, e + x[1] + y[1]
+
+
+def _exp(x: tuple) -> complex:
+    """exp(hi + lo) for a double-double exponent: |lo| is a few units in the
+    last place of hi, so exp(lo) = 1 + lo to double precision while
+    |hi| < 1e7."""
+    return cmath.exp(x[0]) * (1.0 + x[1])
+
+
+def _frame_value(ctx: ThetaContext, u: complex, m: int, n: int,
+                 u0: complex) -> complex:
+    """theta(u | tau) through the reduced frame, given the reduction
+    u = u0 + m + n*tau in the caller's lattice."""
+    n0, steps, (t, c_hi, c_lo), scale, powers = ctx._frame
+    # theta(u | tau) = theta(u | t) = (-1)^M theta(u - M | t), t = tau - n0;
+    # v = u0 + n*t exactly, with no rounding of n*t
+    flip = m + n * n0
+    v = u - flip
+    factor = 1.0
+    gauss = None
+    for t_s, c_shi, c_slo, t_next in steps:
+        # theta(v | t_s) = t_s exp(c_s v^2) theta(v/t_s | t_next + integer);
+        # w is handed on in plain double, and where the next frame is still
+        # ill-conditioned (near-real tau, tiny Im tau) its rounding costs
+        # digits: about 1e-13 relative at tau = 0.21 + 0.003i
+        factor *= t_s
+        g = _mul(*_mul(c_shi, c_slo, v), v)
+        gauss = g if gauss is None else _add(gauss, g)
+        w = v / t_s
+        m, n, u0 = _reduce(t_next, w)
+        flip += m
+        v = w - m
+    cv = _mul(c_hi, c_lo, v)
+    a = _mul(*cv, v)
+    if gauss is not None:
+        a = _add(a, gauss)
+    # exp(c*v*(v -+ 1)) = exp(a -+ cv); near a zero of theta the two cancel,
+    # and their difference is taken as -2 exp(a) sinh(cv) instead
+    if abs(cv[0].real) > 1.0:
+        core = _exp(_add(a, (-cv[0], -cv[1]))) - _exp(_add(a, cv))
+    else:
+        core = -2.0 * _exp(a) * (cmath.sinh(cv[0]) + cmath.cosh(cv[0]) * cv[1])
+    # the product is periodic under v -> v + t, so it takes u0 in the cell;
+    # there |E^{+-1}| <= |p'|^(-3/4), and a p' that needs a factor at all
+    # has |p'| > e^-148, so |E| < e^111 cannot overflow
+    if powers:
+        ep = cmath.exp(-2.0 * c_hi * u0)        # E = exp(2*pi*i*u0/t)
+        em = 1.0 / ep
+        for pk in powers:
+            core *= (1.0 - pk * ep) * (1.0 - pk * em)
+    value = factor * scale * core
+    return -value if flip % 2 else value
 
 
 def _cell_value(ctx: ThetaContext, u: complex) -> complex:
@@ -88,11 +250,11 @@ def _cell_value(ctx: ThetaContext, u: complex) -> complex:
     return cmath.sin(math.pi * u) / math.pi * prod
 
 
-def _reduce(ctx: ThetaContext, u: complex) -> tuple:
+def _reduce(tau: complex, u: complex) -> tuple:
     """(m, n, u0) with u = u0 + m + n*tau and u0 in the fundamental cell."""
     u = complex(u)
-    n = round(u.imag / ctx.tau.imag)
-    u1 = u - n * ctx.tau
+    n = round(u.imag / tau.imag)
+    u1 = u - n * tau
     m = round(u1.real)
     return m, n, complex(u1.real - m, u1.imag)
 
@@ -102,22 +264,27 @@ def theta(ctx: ThetaContext, u: complex) -> complex:
 
     The argument is translated into the fundamental cell by integer steps
     (m, n) along (1, tau); the accumulated quasi-periodicity phase is exact,
-    so the translation laws hold to rounding error by construction.  A phase
-    beyond the float range raises InvalidParameter.
+    so the translation laws hold to rounding error by construction.  A
+    value beyond the float range raises InvalidParameter.
     """
-    m, n, u0 = _reduce(ctx, u)
-    value = _cell_value(ctx, u0)
-    if m == 0 and n == 0:
-        return value
-    sign = -1.0 if (m + n) % 2 else 1.0
+    m, n, u0 = _reduce(ctx.tau, u)
     try:
-        phase = cmath.exp(-2j * math.pi * n * u0
-                          - 1j * math.pi * n * n * ctx.tau)
+        if ctx._frame is not None:
+            value = _frame_value(ctx, complex(u), m, n, u0)
+        else:
+            value = _cell_value(ctx, u0)
+            if m or n:
+                sign = -1.0 if (m + n) % 2 else 1.0
+                phase = cmath.exp(-2j * math.pi * n * u0
+                                  - 1j * math.pi * n * n * ctx.tau)
+                value = sign * phase * value
     except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
         raise InvalidParameter(
-            f"theta({complex(u)} | tau = {ctx.tau}) overflows: its "
-            f"quasi-periodicity phase exceeds the float range") from None
-    return sign * phase * value
+            f"theta({complex(u)} | tau = {ctx.tau}) overflows: its value is "
+            f"beyond the float range")
+    return value
 
 
 def theta_deriv_at_zero(ctx: ThetaContext) -> complex:
@@ -134,8 +301,9 @@ def is_on_lattice(ctx: ThetaContext, x: complex,
                   tol: float = _LATTICE_TOL) -> bool:
     """True if x lies within tol of the lattice point m + n*tau that theta's
     reduction subtracts from it.  No other point of Gamma is that close
-    while 2*tol < Im(tau); every ThetaContext has Im(tau) > 1e-3."""
-    return abs(_reduce(ctx, x)[2]) <= tol
+    while 2*tol < Im(tau), which every ThetaContext guarantees for the
+    default tol."""
+    return abs(_reduce(ctx.tau, x)[2]) <= tol
 
 
 def require_off_lattice(ctx: ThetaContext, x: complex, name: str) -> None:

@@ -6,7 +6,9 @@ library and the oracle cannot share a bug.
 """
 
 import cmath
+import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -35,6 +37,39 @@ def theta_series(u, tau, terms=60):
 # Frozen reference value, cross-checked against the series above and against
 # mpmath's jtheta to 22 significant digits.
 THETA_QUARTER_TAU_I = 0.22592445084764337
+
+
+# ---------------------------------------------------------------------------
+# Theta function to 40 digits, from mpmath's Jacobi theta_1:
+#
+#   theta(u|tau) = theta_1(pi u, q) / (pi theta_1'(0, q)),   q = e^{i pi tau}.
+#
+# mpmath sums theta_1's series itself, at any |q| < 1, so this reference
+# shares neither the product form nor the modular transform with the
+# library.  At small Im(tau) both theta_1 values are about e^{-pi/(4 Im tau)}
+# and come out of terms of size 1, so the working precision grows by that
+# many digits.  The float arguments are taken exactly; the result is an mpc.
+# ---------------------------------------------------------------------------
+
+
+def _theta_mp_dps(tau):
+    return 50 + math.ceil(math.pi / (4 * complex(tau).imag * math.log(10)))
+
+
+@functools.lru_cache(maxsize=None)
+def _pi_theta1_prime0(tau):
+    import mpmath
+    with mpmath.workdps(_theta_mp_dps(tau)):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+        return mpmath.pi * mpmath.jtheta(1, 0, q, 1)
+
+
+def theta_mp(u, tau):
+    import mpmath
+    with mpmath.workdps(_theta_mp_dps(tau)):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+        return (mpmath.jtheta(1, mpmath.pi * mpmath.mpc(u), q)
+                / _pi_theta1_prime0(complex(tau)))
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,19 @@ def test_exit_one_on_theta_phase_overflow():
     assert "Traceback" not in proc.stderr
 
 
+def test_tiny_tau_exits_cleanly():
+    # at tau = 0.001i most theta values exceed the float range; such a value
+    # is a parameter error naming theta, never a traceback or a NaN
+    proc = run_dwbc("compute", "--model", "sos-elliptic", "--n", "2",
+                    "--tau", "0.001i", "--seed", "1", "--format", "json")
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in (0, 1)
+    if proc.returncode == 1:
+        assert "theta(" in proc.stderr and "overflows" in proc.stderr
+    else:
+        assert json.loads(proc.stdout)["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("argv", [("compute",), ("check", "dybe")],
                          ids=["compute", "check-dybe"])
 def test_exit_one_on_nan_tolerance(capsys, argv):

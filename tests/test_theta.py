@@ -1,7 +1,9 @@
-"""Theta engine: normalization, quasi-periodicity, zeros, series oracle."""
+"""Theta engine: normalization, quasi-periodicity, zeros, series oracle,
+modular transforms and agreement with mpmath."""
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from dwbc import (DegenerateParameter, InvalidParameter, ThetaContext,
                   is_on_lattice, require_off_lattice, theta,
                   theta_deriv_at_zero)
 
-from oracles import THETA_QUARTER_TAU_I, theta_series
+from oracles import THETA_QUARTER_TAU_I, theta_mp, theta_series
 
 TAUS = [1j, 0.3 + 0.8j]
 
@@ -105,8 +107,12 @@ def test_context_rejects_bad_tau():
         ThetaContext(0.5)          # real tau
     with pytest.raises(InvalidParameter):
         ThetaContext(0.3 - 0.2j)   # lower half plane
-    with pytest.raises(InvalidParameter, match="too close to 1"):
-        ThetaContext(0.001j)       # 4000 product factors leave a 1e-11 tail
+    # the lattice guard reduces in the caller's lattice, which is sound only
+    # while 2 * 1e-10 < Im(tau)
+    with pytest.raises(InvalidParameter, match=r"Im\(tau\) > 2\*1e-10"):
+        ThetaContext(1e-11j)
+    # far above that limit, a tiny Im(tau) is an ordinary context
+    assert ThetaContext(0.001j).tau == 0.001j
 
 
 def test_off_lattice_guard_names_the_argument(ctx):
@@ -116,10 +122,90 @@ def test_off_lattice_guard_names_the_argument(ctx):
     require_off_lattice(ctx, 0.31, "lambda")
 
 
-def test_truncation_scales_with_nome():
-    assert ThetaContext(1j).truncation_terms <= 10
-    assert ThetaContext(0.05j).truncation_terms > ThetaContext(1j).truncation_terms
+# tau values of the accuracy test: the product path (i), one S step at
+# every Im(tau) from 0.8 down to 0.002, and two S steps (0.45 + 0.1i)
+MP_BOUNDS = {
+    1j: 4e-15,
+    0.3 + 0.8j: 4e-15,
+    0.1j: 2e-15,
+    0.05j: 2e-15,
+    0.02j: 2e-15,
+    0.01j: 6e-15,
+    0.002j: 6e-15,
+    0.45 + 0.1j: 4e-15,
+    -0.3 + 0.15j: 4e-15,
+}
+
+
+@pytest.mark.parametrize("tau", list(MP_BOUNDS))
+def test_agrees_with_mpmath(tau):
+    """Largest relative error against a 40-digit reference, on 40 points of
+    [-1.3, 1.3] + i[-0.12, 0.12]; a point whose value is beyond the float
+    range must raise instead."""
+    pytest.importorskip("mpmath")
+    ctx = ThetaContext(tau)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.3, 1.3, 40) + 1j * rng.uniform(-0.12, 0.12, 40)
+    worst = 0.0
+    for u in map(complex, pts):
+        ref = theta_mp(u, tau)
+        if not abs(ref) < sys.float_info.max:
+            with pytest.raises(InvalidParameter, match="overflows"):
+                theta(ctx, u)
+            continue
+        worst = max(worst, float(abs(theta(ctx, u) - ref) / abs(ref)))
+    assert worst <= MP_BOUNDS[tau]
+
+
+@pytest.mark.parametrize("tau", [0.3 + 0.8j, 0.1j, 0.02j, 0.45 + 0.1j,
+                                 -0.3 + 0.15j, 1j, 0.6 + 2j])
+def test_modular_identities(tau):
+    """theta(u|tau + 1) = theta(u|tau) and
+    theta(u|tau) = tau exp(-i pi u^2/tau) theta(u/tau | -1/tau), evaluated
+    on both sides; each side may take the product path or a reduced frame."""
+    ctx, ctx_t, ctx_s = (ThetaContext(tau), ThetaContext(tau + 1),
+                         ThetaContext(-1 / tau))
+    rng = np.random.default_rng(17)
+    for u in map(complex, rng.uniform(-0.9, 0.9, 12)
+                 + 1j * rng.uniform(-0.1, 0.1, 12)):
+        base = theta(ctx, u)
+        assert abs(theta(ctx_t, u) - base) <= 1e-13 * abs(base)
+        s_side = (tau * cmath.exp(-1j * math.pi * u * u / tau)
+                  * theta(ctx_s, u / tau))
+        assert abs(s_side - base) <= 1e-12 * abs(base)
+
+
+def test_value_beyond_float_range_raises():
+    ctx = ThetaContext(0.001j)
+    # |theta(1/2 | 0.001i)| is about e^785
+    with pytest.raises(InvalidParameter, match=r"theta.*overflows"):
+        theta(ctx, 0.5)
+    # a value in range at the same tau is finite and odd
+    val = theta(ctx, 0.01 + 0.0003j)
+    assert cmath.isfinite(val) and val != 0
+    assert theta(ctx, -0.01 - 0.0003j) == -val
+
+
+@pytest.mark.parametrize("tau", [1j, 10j, 40j])
+def test_product_path_is_unchanged(tau):
+    """Where tau needs no S step the value is today's truncated product,
+    bit for bit."""
+    ctx = ThetaContext(tau)
+    for u in (0.25, 0.31 + 0.07j, -0.48 + 0.2j):
+        ep, em = cmath.exp(2j * math.pi * u), cmath.exp(-2j * math.pi * u)
+        prod, pk = 1.0 + 0j, 1.0 + 0j
+        for _ in range(ctx.truncation_terms):
+            pk *= ctx.nome_p
+            prod *= (1.0 - pk * ep) * (1.0 - pk * em) / (1.0 - pk) ** 2
+        assert theta(ctx, u) == cmath.sin(math.pi * u) / math.pi * prod
+
+
+def test_reduced_frame_needs_few_terms():
+    assert ThetaContext(1j).truncation_terms == 6
     # huge Im tau: nome underflows, a single factor suffices
     assert ThetaContext(200j).truncation_terms == 1
-    # the 1e-16 target needs ~4500 factors; 4000 still reach the 1e-12 floor
-    assert ThetaContext(0.0013j).truncation_terms == 4000
+    # every tau is carried to Im(tau) >= sqrt(3)/2, where 7 factors suffice;
+    # below Im(tau) = 0.03 the product is empty
+    for tau in list(MP_BOUNDS) + [0.001j, 1e-9j, 0.21 + 0.003j, 0.5 + 0.866j]:
+        assert ThetaContext(tau).truncation_terms <= 7
+    assert ThetaContext(0.02j).truncation_terms == 0

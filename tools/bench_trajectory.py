@@ -1,0 +1,168 @@
+"""Write one BENCH_<N>.json: the benchmark's end-to-end medians and theta's
+cost per call, for a parent revision and for this checkout.
+
+    python3 tools/bench_trajectory.py --parent REV --out BENCH_7.json
+
+Run from the root of a checkout.  The parent revision is exported with
+`git archive` into `.bench_build/<REV>` (ignored by git); the change is
+the checkout itself, as it stands.  For every workload of BENCHMARK.json
+and each of seeds 1-3, at BENCHMARK.json's run length, each tree's own `perfbench/run.py --trace 0` runs once,
+parent and change alternating so that a drift of the machine's
+speed reaches both alike.  The file holds, per workload and tree, the
+median of each end-to-end metric over the seeds and the summed attempted
+and failed request counts, with the change/parent ratio of each median.
+
+Theta's cost per call is timed over 400 fixed arguments in
+[-0.3, 0.3] + i[-0.05, 0.05], where |theta| stays in the float range down
+to tau = 0.001i.  Both trees' packages are loaded into one interpreter,
+under two names, and their passes alternate, 25 each; the least pass time
+is kept.  The host's speed drifts over minutes and only ever adds time,
+so alternating puts both trees through the same fast and slow spells.  A
+tau a tree refuses is recorded as {"error": message} instead of a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from importlib.metadata import version
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = [1, 2, 3]
+THETA_PASSES = 25
+
+# argv: PASSES, then NAME=SRC pairs; prints {NAME: {tau: us per call, or
+# {"error": message}}}, timing the trees' passes in turn.
+THETA_PROBE = """
+import importlib.util, json, sys, time
+import numpy as np
+passes, trees = int(sys.argv[1]), dict(a.split("=", 1) for a in sys.argv[2:])
+taus = {"i": 1j, "0.1i": 0.1j, "0.01i": 0.01j, "0.001i": 0.001j}
+rng = np.random.default_rng(7)
+pts = [complex(x) for x in rng.uniform(-0.3, 0.3, 400)
+       + 1j * rng.uniform(-0.05, 0.05, 400)]
+pkgs = {}
+for name, src in trees.items():
+    spec = importlib.util.spec_from_file_location(
+        name, f"{src}/dwbc/__init__.py", submodule_search_locations=[f"{src}/dwbc"])
+    pkgs[name] = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pkgs[name])
+out = {name: {} for name in trees}
+for label, tau in taus.items():
+    ctxs = {}
+    for name, pkg in pkgs.items():
+        try:
+            ctxs[name] = pkg.ThetaContext(tau)
+        except pkg.DwbcError as exc:
+            out[name][label] = {"error": f"{type(exc).__name__}: {exc}"}
+    best = dict.fromkeys(ctxs, float("inf"))
+    for _ in range(passes):
+        for name, ctx in ctxs.items():
+            theta = pkgs[name].theta
+            t0 = time.perf_counter()
+            for u in pts:
+                theta(ctx, u)
+            best[name] = min(best[name], time.perf_counter() - t0)
+    for name, seconds in best.items():
+        out[name][label] = 1e6 * seconds / len(pts)
+print(json.dumps(out))
+"""
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def export(rev: str) -> Path:
+    """The committed files of `rev`, extracted under .bench_build/."""
+    sha = git("rev-parse", rev)
+    dest = ROOT / ".bench_build" / sha
+    if not dest.is_dir():
+        dest.mkdir(parents=True)
+        archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
+
+
+def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one untraced perfbench run in `tree`."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def theta_costs(trees: dict) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", THETA_PROBE, str(THETA_PASSES),
+         *(f"{side}={tree / 'src'}" for side, tree in trees.items())],
+        check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout)
+
+
+def summarize(results: list) -> dict:
+    out = {name: statistics.median(r["metrics"][name]["value"] for r in results)
+           for name in results[0]["metrics"]}
+    out["attempted"] = sum(r["attempted"] for r in results)
+    out["failed"] = sum(r["failed"] for r in results)
+    out["correct"] = all(r["correct"] for r in results)
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare with")
+    parser.add_argument("--out", required=True, type=Path)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    trees = {"parent": export(args.parent), "change": ROOT}
+    workloads = {}
+    for w in spec["workloads"]:
+        runs = {side: [] for side in trees}
+        for seed in SEEDS:
+            for side, tree in trees.items():
+                runs[side].append(bench(tree, w["name"], seed, seconds))
+                print(f"{w['name']} seed {seed} {side}: "
+                      f"{runs[side][-1]['metrics']['req_per_s_norm']['value']:.4g} "
+                      f"req/s, {runs[side][-1]['failed']} failed", file=sys.stderr)
+        medians = {side: summarize(r) for side, r in runs.items()}
+        medians["ratio"] = {m["name"]: medians["change"][m["name"]]
+                            / medians["parent"][m["name"]]
+                            for m in spec["end_to_end"]}
+        workloads[w["name"]] = medians
+    theta_us = theta_costs(trees)
+
+    report = {
+        "command": ("python3 tools/bench_trajectory.py --parent "
+                    f"{args.parent} --out {args.out}"),
+        "parent": trees["parent"].name,
+        "change": {"head": git("rev-parse", "HEAD"),
+                   "uncommitted_changes": bool(git("status", "--porcelain"))},
+        "seeds": SEEDS,
+        "seconds": seconds,
+        "environment": {"python": platform.python_version(),
+                        "numpy": version("numpy"),
+                        "machine": platform.machine(),
+                        "cpus": len(os.sched_getaffinity(0))},
+        "end_to_end": {m["name"]: m["unit"] for m in spec["end_to_end"]},
+        "workloads": workloads,
+        "theta_us_per_call": {tau: {side: theta_us[side][tau] for side in trees}
+                              for tau in theta_us["change"]},
+    }
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
