@@ -227,11 +227,10 @@ def cmd_compute(cfg: argparse.Namespace):
 
 
 # ---------------------------------------------------------------------------
-# check suites: each returns a list of (name, residual, tolerance) rows.
+# check suites: given the config, the theta context at cfg.tau and a fresh
+# generator seeded with cfg.seed, each returns (name, residual, tolerance) rows.
 
-def _suite_symmetry(cfg: argparse.Namespace) -> list:
-    ctx = ThetaContext(cfg.tau)
-    rng = np.random.default_rng(cfg.seed)
+def _suite_symmetry(cfg: argparse.Namespace, ctx: ThetaContext, rng) -> list:
     n = max(2, min(cfg.n, 4))
     u, v = _draw_box(rng, n), _draw_box(rng, n)
     base = z_sos_elliptic(ctx, EllipticParams(u, v, cfg.lam, cfg.hbar))
@@ -247,9 +246,7 @@ def _suite_symmetry(cfg: argparse.Namespace) -> list:
     return rows
 
 
-def _suite_recursion(cfg: argparse.Namespace) -> list:
-    ctx = ThetaContext(cfg.tau)
-    rng = np.random.default_rng(cfg.seed)
+def _suite_recursion(cfg: argparse.Namespace, ctx: ThetaContext, rng) -> list:
     rows = []
     for m in range(2, max(2, min(cfg.n, 5)) + 1):
         u, v = _draw_box(rng, m), _draw_box(rng, m)
@@ -262,9 +259,7 @@ def _suite_recursion(cfg: argparse.Namespace) -> list:
     return rows
 
 
-def _suite_character(cfg: argparse.Namespace) -> list:
-    ctx = ThetaContext(cfg.tau)
-    rng = np.random.default_rng(cfg.seed)
+def _suite_character(cfg: argparse.Namespace, ctx: ThetaContext, rng) -> list:
     n = max(1, min(cfg.n, 3))
     u, v = _draw_box(rng, n), _draw_box(rng, n)
     lam, hbar = cfg.lam, cfg.hbar
@@ -284,9 +279,7 @@ def _suite_character(cfg: argparse.Namespace) -> list:
     return rows
 
 
-def _suite_dybe(cfg: argparse.Namespace) -> list:
-    ctx = ThetaContext(cfg.tau)
-    rng = np.random.default_rng(cfg.seed)
+def _suite_dybe(cfg: argparse.Namespace, ctx: ThetaContext, rng) -> list:
     rows = []
     for t in range(5):
         t1, t2, t3 = _draw_box(rng, 3)
@@ -303,8 +296,7 @@ def _suite_dybe(cfg: argparse.Namespace) -> list:
     return rows
 
 
-def _suite_degeneration(cfg: argparse.Namespace) -> list:
-    rng = np.random.default_rng(cfg.seed)
+def _suite_degeneration(cfg: argparse.Namespace, ctx: ThetaContext, rng) -> list:
     lam, hbar = cfg.lam, cfg.hbar
     q = cmath.exp(1j * math.pi * complex(hbar))
     mu = cmath.exp(2j * math.pi * complex(lam))
@@ -343,7 +335,6 @@ def _suite_degeneration(cfg: argparse.Namespace) -> list:
     rows.append(("pf.trig_to_sixv", _rel(z_tr_inf, z_6v), PROXY_TOL))
 
     # gauge invariance of the partition sums
-    ctx = ThetaContext(cfg.tau)
     rho = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.3, 0.3))
     pe = EllipticParams(u, v, lam, hbar)
     base = enumerate_sos(ctx, pe)
@@ -358,9 +349,7 @@ def _suite_degeneration(cfg: argparse.Namespace) -> list:
     return rows
 
 
-def _suite_appendix(cfg: argparse.Namespace) -> list:
-    ctx = ThetaContext(cfg.tau)
-    rng = np.random.default_rng(cfg.seed)
+def _suite_appendix(cfg: argparse.Namespace, ctx: ThetaContext, rng) -> list:
     rows = []
 
     for n in (2, max(2, min(cfg.n, 6))):
@@ -418,9 +407,10 @@ SUITES = (*_SUITE_FNS, "all")
 
 def cmd_check(cfg: argparse.Namespace):
     names = list(_SUITE_FNS) if cfg.suite == "all" else [cfg.suite]
+    ctx = ThetaContext(cfg.tau)
     rows = []
     for name in names:
-        rows.extend(_SUITE_FNS[name](cfg))
+        rows.extend(_SUITE_FNS[name](cfg, ctx, np.random.default_rng(cfg.seed)))
     verdict = "pass" if all(val <= tol for _, val, tol in rows) else "fail"
     report = {
         "command": "check", "config": _config_echo(cfg), "results": [],
@@ -573,10 +563,12 @@ def _validate(cfg: argparse.Namespace) -> None:
             f"--{pair[0]} and --{pair[1]} must be given together")
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        cfg = parser.parse_args(argv)
+        cfg = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     if cfg.n is None:

@@ -18,7 +18,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import DegenerateParameter, InvalidParameter, _check_cap
-from .rmatrix import EllipticParams, TrigParams
+from .rmatrix import EllipticParams, TrigParams, _require_mu
 from .theta import ThetaContext, require_off_lattice, theta
 
 FACTORIAL_CAP = 9
@@ -151,22 +151,23 @@ def z_izergin(p: TrigParams) -> complex:
     z, w, q = p.z, p.w, p.q
     _guard_distinct(z, "z")
     _guard_distinct(w, "w")
+    d = [[zi - wj for wj in w] for zi in z]
+    e = [[q * zi - wj / q for wj in w] for zi in z]
     scale = max(1.0, max(abs(x) for x in z + w))
     for i in range(n):
         for j in range(n):
-            if abs(z[i] - w[j]) < 1e-10 * scale:
+            if abs(d[i][j]) < 1e-10 * scale:
                 raise DegenerateParameter(
-                    f"z[{i + 1}] - w[{j + 1}] = {z[i] - w[j]} is degenerate "
+                    f"z[{i + 1}] - w[{j + 1}] = {d[i][j]} is degenerate "
                     f"(determinant entry pole)")
-            if abs(q * z[i] - w[j] / q) < 1e-10 * scale:
+            if abs(e[i][j]) < 1e-10 * scale:
                 raise DegenerateParameter(
-                    f"q*z[{i + 1}] - w[{j + 1}]/q = {q * z[i] - w[j] / q} is "
+                    f"q*z[{i + 1}] - w[{j + 1}]/q = {e[i][j]} is "
                     f"degenerate (determinant entry pole)")
 
-    mat = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = 1.0 / ((z[i] - w[j]) * (q * z[i] - w[j] / q))
+    # entries by Python's complex division: numpy's rounds differently
+    mat = np.array([[1.0 / (dij * eij) for dij, eij in zip(dr, er)]
+                    for dr, er in zip(d, e)])
     cond = np.linalg.cond(mat)
     if cond > _COND_WARN:
         warnings.warn(
@@ -176,10 +177,8 @@ def z_izergin(p: TrigParams) -> complex:
     det = complex(np.linalg.det(mat))
 
     pref = math.prod(w, start=(q - 1.0 / q) ** n)
-    num = 1.0 + 0j
-    for i in range(n):
-        for j in range(n):
-            num *= (z[i] - w[j]) * (q * z[i] - w[j] / q)
+    num = math.prod((dij * eij for dr, er in zip(d, e)
+                     for dij, eij in zip(dr, er)), start=1.0 + 0j)
     den = 1.0 + 0j
     for i in range(n):
         for j in range(i):
@@ -187,16 +186,25 @@ def z_izergin(p: TrigParams) -> complex:
     return pref * num / den * det
 
 
-def _trig_tables(z, w, q):
-    """Inversion factors G[a][b] (a > b) and row factors F[m][j] shared by
-    the six-vertex and trigonometric SOS sums."""
-    n = len(w)
+def _trig_tables(p: TrigParams, front=lambda: 1.0 + 0j):
+    """Check the cap and the w denominators; return front() times the pair
+    prefactor prod_{i>j} (w_i/q - q w_j)/(w_i - w_j), and the _perm_sum
+    tables G, F of the trigonometric sums.  front() runs after the cap check,
+    so an oversized n raises SizeCap rather than overflowing (q - 1/q)^n."""
+    n = p.n
+    _check_cap(n, FACTORIAL_CAP, "permutation-sum")
+    z, w, q = p.z, p.w, p.q
+    _guard_distinct(w, "w", q=q)
+    pref = front()
+    for i in range(n):
+        for j in range(i):
+            pref *= (w[i] / q - q * w[j]) / (w[i] - w[j])
     G = [[(q * w[a] - w[b] / q) / (w[a] / q - q * w[b]) for b in range(a)]
          for a in range(n)]
     F = [[tuple(q * z[i] - w[j] / q for i in range(m + 1, n))
           + tuple(z[i] - w[j] for i in range(m)) for j in range(n)]
          for m in range(n)]
-    return G, F
+    return pref, G, F
 
 
 def z_6v_sum(p: TrigParams) -> complex:
@@ -210,16 +218,9 @@ def z_6v_sum(p: TrigParams) -> complex:
                          * prod_{i<k} (z_i - w_sig(k))
     """
     p.validate()
-    n = p.n
-    _check_cap(n, FACTORIAL_CAP, "permutation-sum")
-    z, w, q = p.z, p.w, p.q
-    _guard_distinct(w, "w", q=q)
-
-    pref = math.prod(w, start=(q - 1.0 / q) ** n)
-    for i in range(n):
-        for j in range(i):
-            pref *= (w[i] / q - q * w[j]) / (w[i] - w[j])
-    return pref * _perm_sum(*_trig_tables(z, w, q))
+    pref, G, F = _trig_tables(
+        p, lambda: math.prod(p.w, start=(p.q - 1.0 / p.q) ** p.n))
+    return pref * _perm_sum(G, F)
 
 
 def z_trig_sos(p: TrigParams) -> complex:
@@ -238,21 +239,13 @@ def z_trig_sos(p: TrigParams) -> complex:
     makes it the Im(tau) -> inf limit of the elliptic formula up to the
     factor prod_{k,j} 2 pi i e^(pi i (u_k + v_j)).
     """
-    if p.mu is None:
-        raise InvalidParameter("the trigonometric SOS partition sum needs mu")
+    mu = _require_mu(p)
     p.validate()
+    pref, G, F = _trig_tables(p)
     n = p.n
-    _check_cap(n, FACTORIAL_CAP, "permutation-sum")
-    z, w, q, mu = p.z, p.w, p.q, p.mu
-    _guard_distinct(w, "w", q=q)
-
-    pref = 1.0 + 0j
-    for k in range(n):
-        for m in range(k):
-            pref *= (w[k] / q - q * w[m]) / (w[k] - w[m])
+    z, w, q = p.z, p.w, p.q
     qk = [mu * q ** (2 * m) for m in range(n)]
     cfac = q - 1.0 / q
-    G, F = _trig_tables(z, w, q)
     F = [[row[j] + ((z[m] - w[j] * qk[m]) * cfac / (1.0 - qk[m]),)
           for j in range(n)] for m, row in enumerate(F)]
     return pref * _perm_sum(G, F)

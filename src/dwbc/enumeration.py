@@ -32,9 +32,9 @@ from math import factorial
 
 import numpy as np
 
-from .errors import InvalidParameter, _check_cap
-from .rmatrix import EllipticParams, TrigParams, sixv_rmatrix, sos_rmatrix, \
-    trig_sos_rmatrix
+from .errors import _check_cap
+from .rmatrix import EllipticParams, TrigParams, _require_mu, sixv_rmatrix, \
+    sos_rmatrix, trig_sos_rmatrix
 from .theta import ThetaContext
 
 SIZE_CAP = 6
@@ -213,10 +213,9 @@ def _trig_source(p):
     """Trigonometric SOS weights: face offset k acts multiplicatively,
     mu -> mu * q^(2k); TrigParams.validate keeps 1 - mu q^(2k) off zero
     for every offset |k| <= 2n the routes reach."""
-    if p.mu is None:
-        raise InvalidParameter("the trigonometric SOS model needs mu")
+    mu = _require_mu(p)
     return cache(lambda i, j, k: trig_sos_rmatrix(
-        p.z[i - 1], p.w[j - 1], p.mu * p.q ** (2 * k), p.q))
+        p.z[i - 1], p.w[j - 1], mu * p.q ** (2 * k), p.q))
 
 
 def enumerate_6v(p: TrigParams, rmatrix_fn=None) -> complex:

@@ -71,14 +71,7 @@ class RMatrix4:
 
 
 def _assemble(a, b, bbar, c, cbar) -> RMatrix4:
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = a
-    m[3, 3] = a
-    m[1, 1] = b
-    m[1, 2] = cbar
-    m[2, 1] = c
-    m[2, 2] = bbar
-    return RMatrix4(m)
+    return RMatrix4([[a, 0, 0, 0], [0, b, cbar, 0], [0, c, bbar, 0], [0, 0, 0, a]])
 
 
 @dataclass(frozen=True)
@@ -165,6 +158,13 @@ class TrigParams:
                         f"1 - mu*q^(2k) vanishes)")
 
 
+def _require_mu(p: TrigParams) -> complex:
+    """p.mu, which every trigonometric SOS route needs."""
+    if p.mu is None:
+        raise InvalidParameter("the trigonometric SOS model needs mu")
+    return p.mu
+
+
 def sos_weights(ctx: ThetaContext, x: complex, lam: complex,
                 hbar: complex) -> tuple:
     """Face weights (a, b, bbar, c, cbar) of the elliptic SOS model.
@@ -193,8 +193,7 @@ def sos_weights(ctx: ThetaContext, x: complex, lam: complex,
 def sos_rmatrix(ctx: ThetaContext, x: complex, lam: complex,
                 hbar: complex) -> RMatrix4:
     """Dynamical elliptic R-matrix assembled from sos_weights."""
-    a, b, bbar, c, cbar = sos_weights(ctx, x, lam, hbar)
-    return _assemble(a, b, bbar, c, cbar)
+    return _assemble(*sos_weights(ctx, x, lam, hbar))
 
 
 def sixv_rmatrix(z: complex, w: complex, q: complex) -> RMatrix4:
@@ -216,10 +215,10 @@ def trig_sos_rmatrix(z: complex, w: complex, mu: complex,
     elliptic one, in multiplicative variables z, w, mu)."""
     if q == 0:
         raise InvalidParameter("q must be nonzero")
-    if abs(mu - 1.0) < 1e-12:
+    if abs(mu - 1.0) < _LATTICE_TOL:
         raise DegenerateParameter(
-            f"mu = {mu} is within 1e-12 of 1 (dynamical denominator mu - 1 "
-            f"vanishes)")
+            f"mu = {mu} is within {_LATTICE_TOL:g} of 1 (dynamical denominator "
+            f"mu - 1 vanishes)")
     d = z - w
     cfac = q - 1.0 / q
     a = z * q - w / q

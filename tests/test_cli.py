@@ -186,6 +186,16 @@ def test_exit_one_on_nan_tolerance(capsys, argv):
     assert "tolerance must be positive, got nan" in err
 
 
+def test_exit_one_on_mu_near_one(capsys):
+    # the R-matrix builder shares the routes' tolerance for mu - 1, so the
+    # check is refused as degenerate instead of reporting huge residuals
+    code, out, err = run_main(capsys, "check", "dybe", "--mu", "1.00000000005",
+                              "--n", "2")
+    assert code == 1
+    assert "mu" in err and "1e-10" in err
+    assert "FAIL" not in out
+
+
 def test_exit_one_on_overcap_route(capsys):
     code, _, err = run_main(capsys, "compute", "--model", "six-vertex",
                             "--n", "8", "--route", "enumerate")
@@ -246,6 +256,18 @@ def test_unknown_flag_exits_one(capsys):
     assert proc.returncode == 1
     assert main(["compute", "--parallel"]) == 1   # removed, not ignored
     assert "--parallel" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call(capsys):
+    """main reuses one parser; no value of one call reaches the next."""
+    run_json(capsys, "compute", "--model", "sos-elliptic", "--u", "0.4",
+             "--v", "0.1")
+    code, rep, _ = run_json(capsys, "compute")
+    alone = run_dwbc("compute", "--format", "json")
+    assert (code, strip_timings(rep)) == (
+        alone.returncode, strip_timings(json.loads(alone.stdout)))
+    assert main(["compute", "--frobnicate"]) == 1
+    assert main(["compute", "--n", "2"]) == 0
 
 
 def test_import_loads_no_scipy():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from dwbc import (FACTORIAL_CAP, SIZE_CAP, DegenerateParameter,
-                  EllipticParams, HeightField, RMatrix4, SignConfig, SizeCap,
-                  ThetaContext, TrigParams, asm_number, column_transfer_6v,
-                  column_transfer_trig, column_transfer_z,
+                  EllipticParams, HeightField, InvalidParameter, RMatrix4,
+                  SignConfig, SizeCap, ThetaContext, TrigParams, asm_number,
+                  column_transfer_6v, column_transfer_trig, column_transfer_z,
                   count_configurations, dwbc_sign_configs, enumerate_6v,
                   enumerate_sos, enumerate_trig_sos, sixv_rmatrix,
                   sos_rmatrix, theta, trig_sos_rmatrix, z_6v_sum,
@@ -184,6 +184,14 @@ def test_trig_routes_share_the_dynamical_guard(rng):
                     mu=1.6900000000169)
     for route in (enumerate_trig_sos, column_transfer_trig, z_trig_sos):
         with pytest.raises(DegenerateParameter, match=r"mu\*q"):
+            route(pt)
+
+
+def test_trig_routes_share_the_mu_requirement():
+    pt = TrigParams([1.0, 1.1], [2.0, 2.1], 1.3)
+    for route in (enumerate_trig_sos, column_transfer_trig, z_trig_sos):
+        with pytest.raises(InvalidParameter,
+                           match="^the trigonometric SOS model needs mu$"):
             route(pt)
 
 

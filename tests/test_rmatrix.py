@@ -188,6 +188,12 @@ def test_trig_params_validation():
         TrigParams([2.0, 2.1], [3.0], 1.3)
 
 
+def test_mu_near_one_is_degenerate_for_the_builder():
+    # the same 1e-10 tolerance as TrigParams.validate
+    with pytest.raises(DegenerateParameter, match="within 1e-10 of 1"):
+        trig_sos_rmatrix(2.0, 3.0, 1 + 5e-11, 1.3)
+
+
 def test_rmatrix4_rejects_bad_shape():
     with pytest.raises(InvalidParameter):
         RMatrix4(np.zeros((3, 3), dtype=complex))
