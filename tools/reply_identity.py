@@ -75,10 +75,11 @@ def replay(tree: Path, requests: list) -> subprocess.Popen:
 
 
 def collect(proc: subprocess.Popen) -> list:
-    replies = json.loads(proc.stdout.read())
+    out = proc.stdout.read()
     proc.stdout.close()
     if proc.wait() != 0:
         raise SystemExit(f"replay exited with status {proc.returncode}")
+    replies = json.loads(out)
     for reply in replies:
         reply["stdout"] = _TIME_MS.sub('"time_ms": 0', reply["stdout"])
     return replies
