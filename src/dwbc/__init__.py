@@ -16,8 +16,8 @@ from .errors import DegenerateNodes, DegenerateParameter, DwbcError, \
     InvalidParameter, SizeCap
 from .rmatrix import EllipticParams, RMatrix4, TrigParams, dybe_residual, \
     dybe_residual_from_builder, dybe_residual_trig, gauge_rescale, \
-    ice_rule_residual, sixv_rmatrix, sos_rmatrix, sos_weights, \
-    trig_nondyn_rmatrix, trig_sos_rmatrix, ybe_residual_nondyn
+    sixv_rmatrix, sos_rmatrix, trig_nondyn_rmatrix, trig_sos_rmatrix, \
+    ybe_residual_nondyn
 from .theta import ThetaContext, is_on_lattice, require_off_lattice, theta, \
     theta_deriv_at_zero
 
@@ -32,10 +32,9 @@ __all__ = [
     "column_transfer_trig", "column_transfer_z",
     "count_configurations", "dwbc_sign_configs", "dybe_residual",
     "dybe_residual_from_builder", "dybe_residual_trig", "enumerate_6v",
-    "enumerate_sos", "enumerate_trig_sos", "gauge_rescale",
-    "ice_rule_residual", "interpolate", "is_on_lattice",
-    "membership_residual", "qj_interpolation_residual", "recursion_factor",
-    "require_off_lattice", "sixv_rmatrix", "sos_rmatrix", "sos_weights",
+    "enumerate_sos", "enumerate_trig_sos", "gauge_rescale", "interpolate",
+    "is_on_lattice", "membership_residual", "qj_interpolation_residual",
+    "recursion_factor", "require_off_lattice", "sixv_rmatrix", "sos_rmatrix",
     "theta", "theta_deriv_at_zero", "theta_product_poly",
     "trig_nondyn_rmatrix", "trig_sos_rmatrix", "vandermonde_ratio",
     "weight_kernel", "ybe_residual_nondyn", "z_6v_sum", "z_izergin",

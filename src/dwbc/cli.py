@@ -107,10 +107,13 @@ def parse_complex(text: str) -> complex:
         parts = json.loads(s)
         if not isinstance(parts, list) or len(parts) != 2:
             raise ValueError(f"expected [re, im], got {text!r}")
-        return complex(float(parts[0]), float(parts[1]))
-    s = s.replace("i", "j")
-    s = re.sub(r"(?<![\dj.])j", "1j", s)  # bare j forms: j, +j, 1+j, ...
-    return complex(s)
+        val = complex(float(parts[0]), float(parts[1]))
+    else:
+        s = s.replace("i", "j")
+        val = complex(re.sub(r"(?<![\dj.])j", "1j", s))  # bare j, +j, 1+j, ...
+    if not cmath.isfinite(val):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return val
 
 
 def _draw_box(rng, n: int) -> list:

@@ -134,6 +134,14 @@ def _guard_distinct(values, label, q=None):
                     f"(denominator vanishes)")
 
 
+def _cfac_power(q: complex, n: int) -> complex:
+    """(q - 1/q)^n, the six-vertex prefactor; overflow is a parameter error."""
+    try:
+        return (q - 1.0 / q) ** n
+    except OverflowError:
+        raise InvalidParameter(f"(q - 1/q)^n overflows at q = {q}, n = {n}") from None
+
+
 def z_izergin(p: TrigParams) -> complex:
     """Six-vertex domain-wall partition function, Izergin determinant form:
 
@@ -176,7 +184,7 @@ def z_izergin(p: TrigParams) -> complex:
             RuntimeWarning, stacklevel=2)
     det = complex(np.linalg.det(mat))
 
-    pref = math.prod(w, start=(q - 1.0 / q) ** n)
+    pref = math.prod(w, start=_cfac_power(q, n))
     num = math.prod((dij * eij for dr, er in zip(d, e)
                      for dij, eij in zip(dr, er)), start=1.0 + 0j)
     den = 1.0 + 0j
@@ -219,7 +227,7 @@ def z_6v_sum(p: TrigParams) -> complex:
     """
     p.validate()
     pref, G, F = _trig_tables(
-        p, lambda: math.prod(p.w, start=(p.q - 1.0 / p.q) ** p.n))
+        p, lambda: math.prod(p.w, start=_cfac_power(p.q, p.n)))
     return pref * _perm_sum(G, F)
 
 

@@ -33,8 +33,8 @@ from math import factorial
 import numpy as np
 
 from .errors import _check_cap
-from .rmatrix import EllipticParams, TrigParams, _require_mu, sixv_rmatrix, \
-    sos_rmatrix, trig_sos_rmatrix
+from .rmatrix import EllipticParams, TrigParams, _matrices, _require_mu, \
+    sixv_rmatrix, sos_rmatrix, trig_sos_rmatrix
 from .theta import ThetaContext
 
 SIZE_CAP = 6
@@ -270,8 +270,8 @@ def _transfer_contract(n: int, rfn) -> complex:
         for j in range(1, n + 1):
             s = n - j                           # spaces l > j, still in input state
             # one vertex matrix per sign pattern of those spaces, in index order
-            g = np.stack([rfn(i, j, base_k + s - 2 * sum(bits)).m
-                          for bits in product((0, 1), repeat=s)])
+            g = _matrices([rfn(i, j, base_k + s - 2 * sum(bits))
+                           for bits in product((0, 1), repeat=s)])
             ws = w.reshape(2, 2 ** s, 2, -1).swapaxes(0, 1)  # pattern first
             w = (g @ ws.reshape(2 ** s, 4, -1)).reshape(ws.shape) \
                 .swapaxes(0, 1).reshape(w.shape)

@@ -1,10 +1,11 @@
-"""Boltzmann-weight matrices (R-matrices) for the three models.
+"""Boltzmann weights (R-matrices) for the three models.
 
-All matrices act on C^2 (x) C^2 with the basis ordered (++, +-, -+, --),
-sign +1 first.  The entry R[(alpha,beta), (gamma,delta)] is the weight of a
-vertex with outgoing pair (alpha, beta) = (top, right) and incoming pair
-(gamma, delta) = (bottom, left); sign conservation (the ice rule)
-alpha + beta = gamma + delta restricts the support to six entries:
+A vertex with edge signs alpha (top), beta (right), gamma (bottom), delta
+(left) has nonzero weight only if sign flow is conserved (the ice rule),
+alpha + beta = gamma + delta, so an RMatrix4 is just the five weights
+(a, b, bbar, c, cbar).  Its matrix `.m` on C^2 (x) C^2, basis ordered
+(++, +-, -+, --), maps the incoming pair (gamma, delta) to the outgoing
+pair (alpha, beta); _LAYOUT places the weights as
 
         a  .  .  .
         .  b  cb .          b  = R[+-,+-]   cb = R[+-,-+]
@@ -20,58 +21,50 @@ eigen-sectors of H = diag(1, -1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateParameter, InvalidParameter
 from .theta import _LATTICE_TOL, ThetaContext, require_off_lattice, theta
 
+# weight slot of each matrix entry: 0 a, 1 b, 2 bbar, 3 c, 4 cbar, 5 zero
+_LAYOUT = ((0, 5, 5, 5),
+           (5, 1, 4, 5),
+           (5, 3, 2, 5),
+           (5, 5, 5, 0))
+_SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))   # basis order
+# (alpha, beta, gamma, delta) -> weight slot, for the six admissible vertices
+_SLOTS = {_SIGN_PAIRS[row] + _SIGN_PAIRS[col]: slot
+          for row, slots in enumerate(_LAYOUT)
+          for col, slot in enumerate(slots) if slot < 5}
+_TAKE = np.array(_LAYOUT).ravel()
 
-def _pair_index(a: int, b: int) -> int:
-    return (0 if a > 0 else 2) + (0 if b > 0 else 1)
 
+class RMatrix4(NamedTuple):
+    """The five vertex weights; the 4x4 matrix `.m` is derived from them."""
 
-@dataclass(frozen=True)
-class RMatrix4:
-    """A 4x4 weight matrix in the fixed (++, +-, -+, --) basis."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.m, dtype=complex)
-        if m.shape != (4, 4):
-            raise InvalidParameter(f"R-matrix must be 4x4, got shape {m.shape}")
-        m.flags.writeable = False
-        object.__setattr__(self, "m", m)
+    a: complex
+    b: complex
+    bbar: complex
+    c: complex
+    cbar: complex
 
     def entry(self, alpha: int, beta: int, gamma: int, delta: int) -> complex:
-        """Weight of the vertex with edge signs alpha (top), beta (right),
-        gamma (bottom), delta (left); signs are +1 or -1."""
-        return self.m[_pair_index(alpha, beta), _pair_index(gamma, delta)]
+        """Weight of the vertex with these (top, right, bottom, left) signs."""
+        slot = _SLOTS.get((alpha, beta, gamma, delta))
+        return 0j if slot is None else self[slot]
 
     @property
-    def a(self) -> complex:
-        return self.m[0, 0]
-
-    @property
-    def b(self) -> complex:
-        return self.m[1, 1]
-
-    @property
-    def bbar(self) -> complex:
-        return self.m[2, 2]
-
-    @property
-    def c(self) -> complex:
-        return self.m[2, 1]
-
-    @property
-    def cbar(self) -> complex:
-        return self.m[1, 2]
+    def m(self) -> np.ndarray:
+        """The 4x4 weight matrix in the (++, +-, -+, --) basis."""
+        return _matrices([self])[0]
 
 
-def _assemble(a, b, bbar, c, cbar) -> RMatrix4:
-    return RMatrix4([[a, 0, 0, 0], [0, b, cbar, 0], [0, c, bbar, 0], [0, 0, 0, a]])
+def _matrices(rs) -> np.ndarray:
+    """The (k, 4, 4) stack of the weight matrices of the k R-matrices rs."""
+    padded = np.array([r + (0j,) for r in rs], dtype=complex)
+    return padded.take(_TAKE, axis=1).reshape(-1, 4, 4)
 
 
 @dataclass(frozen=True)
@@ -165,9 +158,9 @@ def _require_mu(p: TrigParams) -> complex:
     return p.mu
 
 
-def sos_weights(ctx: ThetaContext, x: complex, lam: complex,
-                hbar: complex) -> tuple:
-    """Face weights (a, b, bbar, c, cbar) of the elliptic SOS model.
+def sos_rmatrix(ctx: ThetaContext, x: complex, lam: complex,
+                hbar: complex) -> RMatrix4:
+    """Dynamical elliptic R-matrix: the face weights of the elliptic SOS model
 
         a    = theta(x + hbar)
         b    = theta(x) theta(lam + hbar) / theta(lam)
@@ -187,13 +180,7 @@ def sos_weights(ctx: ThetaContext, x: complex, lam: complex,
     bbar = tx * theta(ctx, lam - hbar) / tl
     c = theta(ctx, x + lam) * th / tl
     cbar = theta(ctx, x - lam) * th / (-tl)  # theta is odd: theta(-lam) = -theta(lam)
-    return a, b, bbar, c, cbar
-
-
-def sos_rmatrix(ctx: ThetaContext, x: complex, lam: complex,
-                hbar: complex) -> RMatrix4:
-    """Dynamical elliptic R-matrix assembled from sos_weights."""
-    return _assemble(*sos_weights(ctx, x, lam, hbar))
+    return RMatrix4(a, b, bbar, c, cbar)
 
 
 def sixv_rmatrix(z: complex, w: complex, q: complex) -> RMatrix4:
@@ -206,7 +193,7 @@ def sixv_rmatrix(z: complex, w: complex, q: complex) -> RMatrix4:
         raise InvalidParameter("q must be nonzero")
     b = z - w
     cfac = q - 1.0 / q
-    return _assemble(q * z - w / q, b, b, cfac * z, cfac * w)
+    return RMatrix4(q * z - w / q, b, b, cfac * z, cfac * w)
 
 
 def trig_sos_rmatrix(z: complex, w: complex, mu: complex,
@@ -226,7 +213,7 @@ def trig_sos_rmatrix(z: complex, w: complex, mu: complex,
     bbar = d * (mu / q - q) / (mu - 1.0)
     c = (z * mu - w) * cfac / (mu - 1.0)
     cbar = (z - w * mu) * cfac / (1.0 - mu)
-    return _assemble(a, b, bbar, c, cbar)
+    return RMatrix4(a, b, bbar, c, cbar)
 
 
 def trig_nondyn_rmatrix(z: complex, w: complex, q: complex) -> RMatrix4:
@@ -236,7 +223,7 @@ def trig_nondyn_rmatrix(z: complex, w: complex, q: complex) -> RMatrix4:
         raise InvalidParameter("q must be nonzero")
     d = z - w
     cfac = q - 1.0 / q
-    return _assemble(q * z - w / q, q * d, d / q, cfac * z, cfac * w)
+    return RMatrix4(q * z - w / q, q * d, d / q, cfac * z, cfac * w)
 
 
 def gauge_rescale(r: RMatrix4, rho: complex) -> RMatrix4:
@@ -248,19 +235,7 @@ def gauge_rescale(r: RMatrix4, rho: complex) -> RMatrix4:
     """
     if rho == 0:
         raise InvalidParameter("gauge factor rho must be nonzero")
-    m = np.array(r.m, dtype=complex)
-    m[1, 1] *= rho
-    m[2, 2] /= rho
-    return RMatrix4(m)
-
-
-_H2 = np.diag([2.0, 0.0, 0.0, -2.0]).astype(complex)
-
-
-def ice_rule_residual(r: RMatrix4) -> float:
-    """Max-norm of [H (x) 1 + 1 (x) H, R]; zero iff sign flow is conserved."""
-    comm = _H2 @ r.m - r.m @ _H2
-    return float(np.max(np.abs(comm)))
+    return r._replace(b=r.b * rho, bbar=r.bbar / rho)
 
 
 def _embed3(r_of_sign, a: int, b: int, c: int) -> np.ndarray:

@@ -186,6 +186,37 @@ def test_exit_one_on_nan_tolerance(capsys, argv):
     assert "tolerance must be positive, got nan" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--model", "sos-elliptic", "--lambda", "nan"),
+    ("--model", "sos-elliptic", "--hbar", "nan"),
+    ("--model", "sos-elliptic", "--u", "0.1", "nan"),
+    ("--q", "nan"),
+    ("--z", "1", "nan"),
+    ("--model", "sos-trig", "--mu", "nan"),
+    ("--q", "1e400"),
+    ("--tau", "[NaN, 1]"),
+], ids=["lambda", "hbar", "u", "q", "z", "mu", "overflowing", "pair"])
+def test_exit_one_on_non_finite_flag(capsys, argv):
+    code, out, err = run_main(capsys, "compute", *argv)
+    assert code == 1
+    assert out == ""
+    assert "is not a finite number" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ("--q", "1e300"),
+    ("--route", "sum", "--n", "9", "--q", "1e40"),
+    ("--route", "determinant", "--n", "2", "--q", "1e200"),
+], ids=["all", "sum", "determinant"])
+def test_exit_one_on_cfac_power_overflow(capsys, argv):
+    code, out, err = run_main(capsys, "compute", *argv)
+    assert code == 1
+    assert out == ""
+    assert "(q - 1/q)^n overflows" in err
+
+
 def test_exit_one_on_mu_near_one(capsys):
     # the R-matrix builder shares the routes' tolerance for mu - 1, so the
     # check is refused as degenerate instead of reporting huge residuals
@@ -197,10 +228,13 @@ def test_exit_one_on_mu_near_one(capsys):
 
 
 def test_exit_one_on_overcap_route(capsys):
-    code, _, err = run_main(capsys, "compute", "--model", "six-vertex",
-                            "--n", "8", "--route", "enumerate")
-    assert code == 1
-    assert "cap" in err
+    # the sum checks its cap before (q - 1/q)^n could overflow
+    for argv in (("--n", "8", "--route", "enumerate"),
+                 ("--n", "10", "--route", "sum", "--q", "1e200")):
+        code, _, err = run_main(capsys, "compute", "--model", "six-vertex",
+                                *argv)
+        assert code == 1
+        assert "cap" in err and "overflows" not in err
 
 
 def test_exit_two_on_tolerance_failure(capsys):

@@ -1,15 +1,16 @@
-"""R-matrix builders, ice rule, dynamical Yang-Baxter, degeneration limits."""
+"""R-matrix builders, weight layout, dynamical Yang-Baxter, degeneration
+limits."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from dwbc import (DegenerateParameter, EllipticParams, InvalidParameter,
-                  RMatrix4, ThetaContext, TrigParams, dybe_residual,
-                  dybe_residual_trig, gauge_rescale, ice_rule_residual,
-                  sixv_rmatrix, sos_rmatrix, sos_weights, theta,
+                  ThetaContext, TrigParams, dybe_residual, dybe_residual_trig,
+                  gauge_rescale, sixv_rmatrix, sos_rmatrix, theta,
                   trig_nondyn_rmatrix, trig_sos_rmatrix, ybe_residual_nondyn)
 from dwbc.rmatrix import dybe_residual_from_builder
 
@@ -42,7 +43,7 @@ def test_entry_layout():
 
 def test_sos_weights_match_theta_formulas(ctx):
     lam, hbar, x = 0.31, 0.17, 0.23 + 0.04j
-    a, b, bbar, c, cbar = sos_weights(ctx, x, lam, hbar)
+    a, b, bbar, c, cbar = sos_rmatrix(ctx, x, lam, hbar)
     t = lambda y: theta(ctx, y)
     assert abs(a - t(x + hbar)) < 1e-15
     assert abs(b - t(x) * t(lam + hbar) / t(lam)) < 1e-15
@@ -51,15 +52,22 @@ def test_sos_weights_match_theta_formulas(ctx):
     assert abs(cbar - t(x - lam) * t(hbar) / t(-lam)) < 1e-15
 
 
-def test_ice_rule_all_builders(ctx):
-    mats = [
-        sos_rmatrix(ctx, 0.4, 0.31, 0.17),
-        sixv_rmatrix(2.0, 3.0, 1.3),
-        trig_sos_rmatrix(2.0, 3.0, 0.7, 1.3),
-        trig_nondyn_rmatrix(2.0, 3.0, 1.3),
-    ]
-    for r in mats:
-        assert ice_rule_residual(r) < 1e-14
+def test_matrix_layout_matches_entry(ctx):
+    """.m and entry() place every weight alike, for all 16 sign patterns;
+    the ten patterns that break sign conservation read 0 in both."""
+    signs = (1, -1)                       # basis index 0 means sign +1
+    for r in (sos_rmatrix(ctx, 0.4, 0.31, 0.17),
+              sixv_rmatrix(2.0, 3.0, 1.3),
+              trig_sos_rmatrix(2.0, 3.0, 0.7, 1.3),
+              trig_nondyn_rmatrix(2.0, 3.0, 1.3)):
+        m = r.m
+        assert m.shape == (4, 4)
+        for (ia, alpha), (ib, beta), (ig, gamma), (id_, delta) in \
+                itertools.product(enumerate(signs), repeat=4):
+            val = r.entry(alpha, beta, gamma, delta)
+            assert m[2 * ia + ib, 2 * ig + id_] == val
+            if alpha + beta != gamma + delta:
+                assert val == 0
 
 
 def test_dybe_elliptic_random_draws(ctx, ctx_generic, rng):
@@ -92,10 +100,7 @@ def test_dybe_detects_corruption(ctx):
     lam, hbar = 0.31, 0.17
 
     def corrupted(x, k):
-        r = sos_rmatrix(ctx, x, lam + k * hbar, hbar)
-        m = r.m.copy()
-        m[2, 1] = 0.0  # drop the c weight
-        return RMatrix4(m)
+        return sos_rmatrix(ctx, x, lam + k * hbar, hbar)._replace(c=0)
 
     res = dybe_residual_from_builder(corrupted, 0.41 - 0.13, 0.41 + 0.22,
                                      0.13 + 0.22)
@@ -103,7 +108,7 @@ def test_dybe_detects_corruption(ctx):
 
 
 def test_dybe_detects_perturbed_weight(ctx):
-    """A one-percent error in a single weight is loudly visible.
+    """A ten-percent error in the a weight is loudly visible.
 
     (Note: swapping b and bbar outright would NOT be detected -- that is a
     legitimate dynamical gauge transformation, since bbar/b is independent
@@ -113,9 +118,7 @@ def test_dybe_detects_perturbed_weight(ctx):
 
     def perturbed(x, k):
         r = sos_rmatrix(ctx, x, lam + k * hbar, hbar)
-        m = r.m.copy()
-        m[0, 0] *= 1.1
-        return RMatrix4(m)
+        return r._replace(a=r.a * 1.1)
 
     res = dybe_residual_from_builder(perturbed, 0.41 - 0.13, 0.41 + 0.22,
                                      0.13 + 0.22)
@@ -192,8 +195,3 @@ def test_mu_near_one_is_degenerate_for_the_builder():
     # the same 1e-10 tolerance as TrigParams.validate
     with pytest.raises(DegenerateParameter, match="within 1e-10 of 1"):
         trig_sos_rmatrix(2.0, 3.0, 1 + 5e-11, 1.3)
-
-
-def test_rmatrix4_rejects_bad_shape():
-    with pytest.raises(InvalidParameter):
-        RMatrix4(np.zeros((3, 3), dtype=complex))

@@ -13,8 +13,11 @@ masked before the comparison, since timings are the one part of a reply
 that may vary.
 
 Prints, per workload, how many replies are identical and how many differ,
-with each tree's tally of exit codes, then the first few differences.
-Exits 0 only when every reply is identical.
+with each tree's tally of exit codes.  Where both replies of a differing
+pair are JSON, it also tallies the differing keys (dotted paths such as
+`residuals.gauge.sos`), each with the largest absolute value it took on
+either side.  Then it prints the first few differences.  Exits 0 only when
+every reply is identical.
 """
 
 from __future__ import annotations
@@ -98,6 +101,39 @@ def first_difference(a: dict, b: dict) -> str:
     return "identical"
 
 
+def differing_leaves(a, b, path=""):
+    """Yield (path, a_leaf, b_leaf) for each leaf where the parsed JSON
+    values a and b differ; a key missing on one side reads None there."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            yield from differing_leaves(a.get(key), b.get(key),
+                                        f"{path}.{key}" if path else key)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from differing_leaves(x, y, f"{path}[{i}]")
+    elif a != b:
+        yield path, a, b
+
+
+def _magnitude(x) -> float:
+    """|x| for a JSON number, 0 for anything else."""
+    return abs(x) if isinstance(x, (int, float)) and not isinstance(x, bool) else 0.0
+
+
+def tally_keys(keys: dict, a: dict, b: dict) -> None:
+    """Add the differing JSON keys of replies a, b to keys, which maps a
+    path to [pairs, largest |parent value|, largest |change value|]."""
+    try:
+        ja, jb = json.loads(a["stdout"]), json.loads(b["stdout"])
+    except ValueError:
+        return
+    for path, x, y in differing_leaves(ja, jb):
+        rec = keys.setdefault(path, [0, 0.0, 0.0])
+        rec[0] += 1
+        rec[1] = max(rec[1], _magnitude(x))
+        rec[2] = max(rec[2], _magnitude(y))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare with")
@@ -121,13 +157,15 @@ def main(argv=None) -> int:
     for k, (name, seed, i) in enumerate(labels):
         a, b = replies["parent"][k], replies["change"][k]
         t = tallies.setdefault(name, {"identical": 0, "differing": 0,
-                                      "parent": Counter(), "change": Counter()})
+                                      "parent": Counter(), "change": Counter(),
+                                      "keys": {}})
         t["parent"][a["code"]] += 1
         t["change"][b["code"]] += 1
         if a == b:
             t["identical"] += 1
         else:
             t["differing"] += 1
+            tally_keys(t["keys"], a, b)
             differences.append((name, seed, i, requests[k], first_difference(a, b)))
 
     def codes(c):
@@ -136,6 +174,9 @@ def main(argv=None) -> int:
     for name, t in tallies.items():
         print(f"{name}: {t['identical']} identical, {t['differing']} differing; "
               f"parent {codes(t['parent'])}; change {codes(t['change'])}")
+        for path, (pairs, top_a, top_b) in sorted(t["keys"].items()):
+            print(f"  {path}: differs in {pairs}; largest |value| "
+                  f"parent {top_a:.3g}, change {top_b:.3g}")
     total = sum(t["identical"] + t["differing"] for t in tallies.values())
     print(f"all: {total - len(differences)} of {total} identical")
     for name, seed, i, argv, diff in differences[:SHOW]:
