@@ -169,10 +169,16 @@ def _config_echo(cfg: argparse.Namespace) -> dict:
     return out
 
 
+# each route's size cap and nominal term count at size n (for bench rows)
+_ROUTE_COST = {"enumerate": (SIZE_CAP, lambda n: asm_number(n)),
+               "transfer": (SIZE_CAP, lambda n: 2 ** n),
+               "determinant": (math.inf, lambda n: n ** 3),
+               "sum": (FACTORIAL_CAP, factorial)}
+
+
 def _model_routes(cfg: argparse.Namespace, a: list, b: list) -> list:
-    """(name, cap, nominal_terms, thunk) for every route of cfg.model on the
-    column parameters a and row parameters b, in report order."""
-    n = len(a)
+    """(name, cap, thunk) for every route of cfg.model on the column
+    parameters a and row parameters b, in report order."""
     if cfg.model == "sos-elliptic":
         ctx = ThetaContext(cfg.tau)
         p = EllipticParams(a, b, cfg.lam, cfg.hbar)
@@ -190,11 +196,7 @@ def _model_routes(cfg: argparse.Namespace, a: list, b: list) -> list:
                   ("transfer", lambda: column_transfer_6v(p)),
                   ("determinant", lambda: z_izergin(p)),
                   ("sum", lambda: z_6v_sum(p))]
-    cost = {"enumerate": (SIZE_CAP, asm_number(n)),
-            "transfer": (SIZE_CAP, 2 ** n),
-            "determinant": (math.inf, n ** 3),
-            "sum": (FACTORIAL_CAP, factorial(n))}
-    return [(name, *cost[name], thunk) for name, thunk in routes]
+    return [(name, _ROUTE_COST[name][0], thunk) for name, thunk in routes]
 
 
 def cmd_compute(cfg: argparse.Namespace):
@@ -202,7 +204,7 @@ def cmd_compute(cfg: argparse.Namespace):
     if getattr(cfg, pair[0]) is None:
         for name, draw in zip(pair, draw_parameters(cfg.n, cfg.seed)):
             setattr(cfg, name, draw)
-    routes = [(name, thunk) for name, cap, _, thunk
+    routes = [(name, thunk) for name, cap, thunk
               in _model_routes(cfg, *(getattr(cfg, name) for name in pair))
               if name == cfg.route  # over-cap single route raises SizeCap
               or (cfg.route == "all" and cfg.n <= cap)]
@@ -432,12 +434,13 @@ def cmd_bench(cfg: argparse.Namespace):
     for n in range(1, cfg.n + 1):
         rng = np.random.default_rng([cfg.seed, n])
         a, b = _draw_box(rng, n), _draw_box(rng, n)
-        for name, cap, terms, thunk in _model_routes(cfg, a, b):
+        for name, cap, thunk in _model_routes(cfg, a, b):
             if n > cap:
                 continue
             val, ms = _timed(thunk)
             results.append({"route": name, "value": _cjson(val),
-                            "time_ms": ms, "n": n, "terms": terms})
+                            "time_ms": ms, "n": n,
+                            "terms": _ROUTE_COST[name][1](n)})
             if name == "determinant":
                 det_time[n] = ms
             elif name == "sum":

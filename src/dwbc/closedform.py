@@ -18,7 +18,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import DegenerateParameter, InvalidParameter, _check_cap
-from .rmatrix import EllipticParams, TrigParams, _require_mu
+from .rmatrix import EllipticParams, TrigParams, _mu_shift, _require_mu
 from .theta import ThetaContext, require_off_lattice, theta
 
 FACTORIAL_CAP = 9
@@ -252,7 +252,7 @@ def z_trig_sos(p: TrigParams) -> complex:
     pref, G, F = _trig_tables(p)
     n = p.n
     z, w, q = p.z, p.w, p.q
-    qk = [mu * q ** (2 * m) for m in range(n)]
+    qk = [_mu_shift(mu, q, m) for m in range(n)]
     cfac = q - 1.0 / q
     F = [[row[j] + ((z[m] - w[j] * qk[m]) * cfac / (1.0 - qk[m]),)
           for j in range(n)] for m, row in enumerate(F)]

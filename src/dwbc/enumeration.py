@@ -33,8 +33,8 @@ from math import factorial
 import numpy as np
 
 from .errors import _check_cap
-from .rmatrix import EllipticParams, TrigParams, _matrices, _require_mu, \
-    sixv_rmatrix, sos_rmatrix, trig_sos_rmatrix
+from .rmatrix import EllipticParams, TrigParams, _matrices, _mu_shift, \
+    _require_mu, sixv_rmatrix, sos_rmatrix, trig_sos_rmatrix
 from .theta import ThetaContext
 
 SIZE_CAP = 6
@@ -215,7 +215,7 @@ def _trig_source(p):
     for every offset |k| <= 2n the routes reach."""
     mu = _require_mu(p)
     return cache(lambda i, j, k: trig_sos_rmatrix(
-        p.z[i - 1], p.w[j - 1], mu * p.q ** (2 * k), p.q))
+        p.z[i - 1], p.w[j - 1], _mu_shift(mu, p.q, k), p.q))
 
 
 def enumerate_6v(p: TrigParams, rmatrix_fn=None) -> complex:

@@ -20,6 +20,8 @@ eigen-sectors of H = diag(1, -1).
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -144,7 +146,7 @@ class TrigParams:
                 f"every c-weight")
         if self.mu is not None:
             for k in range(-2 * self.n, 2 * self.n + 1):
-                val = self.mu * self.q ** (2 * k)
+                val = _mu_shift(self.mu, self.q, k)
                 if abs(val - 1.0) < _LATTICE_TOL:
                     raise DegenerateParameter(
                         f"mu*q^(2*{k}) = {val} hits 1 (dynamical denominator "
@@ -156,6 +158,19 @@ def _require_mu(p: TrigParams) -> complex:
     if p.mu is None:
         raise InvalidParameter("the trigonometric SOS model needs mu")
     return p.mu
+
+
+def _mu_shift(mu: complex, q: complex, k: int) -> complex:
+    """mu * q^(2k), the image of the dynamical shift lam -> lam + k*hbar;
+    a value beyond the float range is a parameter error."""
+    try:
+        val = mu * q ** (2 * k)
+    except (OverflowError, ZeroDivisionError):   # q^(2k) itself overflows
+        val = complex(math.inf)
+    if not cmath.isfinite(val):
+        raise InvalidParameter(
+            f"mu*q^(2k) overflows at mu = {mu}, q = {q}, k = {k}")
+    return val
 
 
 def sos_rmatrix(ctx: ThetaContext, x: complex, lam: complex,
@@ -293,7 +308,7 @@ def dybe_residual_trig(z1: complex, z2: complex, z3: complex,
     R-matrix; the shift lam -> lam + k*hbar becomes mu -> mu * q^(2k)."""
 
     def builder(zw, k):
-        return trig_sos_rmatrix(zw[0], zw[1], mu * q ** (2 * k), q)
+        return trig_sos_rmatrix(zw[0], zw[1], _mu_shift(mu, q, k), q)
 
     return dybe_residual_from_builder(builder, (z1, z2), (z1, z3), (z2, z3))
 

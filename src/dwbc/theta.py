@@ -15,37 +15,35 @@ Evaluation first reduces the argument into the fundamental cell
 
     theta(u + m + n*tau) = (-1)^(m+n) exp(-2*pi*i*n*u - pi*i*n^2*tau) theta(u).
 
-Product path.  When |tau - round(Re tau)| >= 1, so that Im(tau) >= sqrt(3)/2,
-the cell value is the truncated product
-
-    theta(u) = sin(pi*u)/pi * prod_{k=1..N} (1 - p^k E)(1 - p^k / E) / (1 - p^k)^2
-
-with E = exp(2*pi*i*u) and nome p = exp(2*pi*i*tau).  The depth N is fixed
-per context so that |p|^N < 1e-16; inside the cell |p^k E^{+-1}| <= |p|^(k-1/2),
-so the neglected tail is below machine precision, and N <= 7.
-
-Reduced frame.  Any other tau is carried to the SL(2, Z) fundamental domain
+Frame.  Each context carries tau to the SL(2, Z) fundamental domain
 (DLMF 20.7(viii)) by the two modular identities of this normalization,
 
     theta(u | tau + 1) = theta(u | tau),
     theta(u | t)       = t * exp(-i*pi*u^2/t) * theta(u/t | -1/t),
 
-applied as t <- tau - round(Re tau), then an S step while |t| < 1, repeated.
-The last S step and the sine factor fold into two exponentials, with
-c = -i*pi/t and v = u - M for the integer M that takes u to its cell up to
-multiples of t:
+applied as t <- tau - round(Re tau), then an S step while |t| < 1, repeated
+(none when tau is already in the fundamental domain).  The final t has
+Im(t) >= sqrt(3)/2 and nome p = exp(2*pi*i*t), and the context tabulates
+(p^k, (1 - p^k)^2) for k = 1..K.  One product over that table,
+
+    P(E) = prod_{k=1..K} (1 - p^k E)(1 - p^k / E) / (1 - p^k)^2,
+
+serves both ways into the final frame.  With no S step, theta(u) =
+sin(pi*u)/pi * P(exp(2*pi*i*u)) for u in the cell.  After S steps, the last
+S step and the sine factor fold into two exponentials, with c = -i*pi/t and
+v = u - M for the integer M that takes u to its cell up to multiples of t:
 
     theta(v | t) = t/(2*pi*i) * (exp(c*v*(v - 1)) - exp(c*v*(v + 1)))
-                   * prod_{k=1..K} (1 - exp(2c(k - v)))(1 - exp(2c(k + v)))
-                     / (1 - exp(2ck))^2.
+                   * P(exp(-2*c*v)).
 
-Every factor of the product has |.| <= |exp(2c)|^(k - 3/4) with
-Im(-1/t) >= sqrt(3)/2, so K <= 7; on the imaginary axis K = 0 once
-Im(tau) < 0.04.  The exponents grow like 1/Im(tau) (about 39 at
-tau = 0.02i), and a plain double would lose that many times the unit
-roundoff; so c is stored as a double-double and each exponent is formed
-with error-free transforms (Dekker's product, Knuth's sum).  A value
-beyond the float range raises InvalidParameter.
+Every factor has |p^k E^(+-1)| <= |p|^(k - 3/4) in the cell, so the one
+rule K = max(0, ceil(log(1e-16) / log|p| - 1/4)) leaves a tail below
+machine precision; K <= 7, and K = 0 once Im(t) >= 23.5 (on the imaginary
+axis, Im(tau) >= 23.5 or Im(tau) <= 0.042).  The exponents grow like
+1/Im(tau) (about 39 at tau = 0.02i), and a plain double would lose that
+many times the unit roundoff; so c is stored as a double-double and each
+exponent is formed with error-free transforms (Dekker's product, Knuth's
+sum).  A value beyond the float range raises InvalidParameter.
 """
 
 from __future__ import annotations
@@ -64,20 +62,19 @@ _SPLIT = 134217729.0    # 2**27 + 1, Dekker's splitter for a 53-bit mantissa
 
 @dataclass(frozen=True)
 class ThetaContext:
-    """Modular parameter with its derived nome and truncation depth.
+    """Modular parameter with its reduced frame.
 
     Immutable and stateless after construction, so a single context can be
     shared freely between threads.  Construction fails unless
     Im(tau) > 2 * 1e-10, the lattice guard's tolerance: below that, two
     lattice points could both lie within the tolerance of one argument.
-    `truncation_terms` is the number of product factors one evaluation
-    multiplies, in the reduced frame when tau has one.
+    `truncation_terms` is K, the number of product factors one evaluation
+    multiplies.
     """
 
     tau: complex
-    nome_p: complex = field(init=False)
     truncation_terms: int = field(init=False)
-    _frame: tuple | None = field(init=False, repr=False, compare=False)
+    _frame: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tau = complex(self.tau)
@@ -85,20 +82,9 @@ class ThetaContext:
             raise InvalidParameter(
                 f"tau = {tau} must have Im(tau) > 2*{_LATTICE_TOL:g}, twice "
                 f"the lattice guard's tolerance")
-        p = cmath.exp(2j * math.pi * tau)
         frame = _reduced_frame(tau)
-        if frame is not None:
-            terms = len(frame[4])
-        elif p == 0.0:
-            # Nome underflowed (huge Im tau): the product is empty and the
-            # function is exactly the trigonometric limit.
-            terms = 1
-        else:
-            terms = max(1, math.ceil(math.log(_TRUNCATION_TARGET)
-                                     / math.log(abs(p))))
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "nome_p", p)
-        object.__setattr__(self, "truncation_terms", terms)
+        object.__setattr__(self, "truncation_terms", len(frame[3]))
         object.__setattr__(self, "_frame", frame)
 
 
@@ -113,17 +99,16 @@ def _minus_i_pi_over(t: complex) -> tuple:
     return _two_sum(q, residual / t)
 
 
-def _reduced_frame(tau: complex):
-    """(n0, steps, last, scale, powers) for a tau outside the fundamental
-    domain, else None.
+def _reduced_frame(tau: complex) -> tuple:
+    """(n0, steps, last, table) for tau.
 
     n0 = round(Re tau).  Each S step is taken at a t reduced by its T step,
-    while |t| < 1 (strictly, so |tau| = 1 keeps the product path), and is
-    stored as (t, c_hi, c_lo) with c = -i*pi/t as a double-double.  `steps`
-    holds every S step but the last, each with the t of the step after it;
-    `last` is the final S step, whose sine factor and product are folded
-    together.  scale = t/(2*pi*i) / prod_{k<=K} (1 - exp(2ck))^2 for that
-    step, and `powers` holds p'^k = exp(2ck) for k = 1..K.
+    while |t| < 1 (strictly, so |tau| = 1 takes none), and is stored as
+    (t, c_hi, c_lo) with c = -i*pi/t as a double-double.  `steps` holds
+    every S step but the last, each with the t of the step after it;
+    `last` is the final S step as (t/(2*pi*i), c_hi, c_lo), or None when
+    tau takes none.  `table` holds (p^k, (1 - p^k)^2) for k = 1..K, the
+    powers formed by repeated multiplication.
     """
     n0 = round(tau.real)
     t = tau - n0
@@ -132,18 +117,21 @@ def _reduced_frame(tau: complex):
         levels.append((t, *_minus_i_pi_over(t)))
         s = -1.0 / t
         t = s - round(s.real)
-    if not levels:
-        return None
-    # |exp(2c(k -+ v))| <= |p'|^(k - 3/4) with log|p'| = -2*pi*Im(t)
+    if levels:
+        t_last, c_hi, c_lo = levels[-1]
+        last = (t_last / (2j * math.pi), c_hi, c_lo)
+        p = cmath.exp(2.0 * c_hi)
+    else:
+        last, p = None, cmath.exp(2j * math.pi * tau)   # = exp(2*pi*i*t)
+    # |p^k E^(+-1)| <= |p|^(k - 3/4) with log|p| = -2*pi*Im(t)
     terms = max(0, math.ceil(math.log(_TRUNCATION_TARGET)
                              / (-2.0 * math.pi * t.imag) - 0.25))
-    last = levels[-1]
-    powers = tuple(cmath.exp(2.0 * k * last[1]) for k in range(1, terms + 1))
-    scale = last[0] / (2j * math.pi)
-    for pk in powers:
-        scale /= (1.0 - pk) ** 2
+    table, pk = [], 1.0 + 0j
+    for _ in range(terms):
+        pk *= p
+        table.append((pk, (1.0 - pk) ** 2))
     steps = tuple(step + (after[0],) for step, after in zip(levels, levels[1:]))
-    return n0, steps, last, scale, powers
+    return n0, steps, last, tuple(table)
 
 
 def _two_sum(a, b):
@@ -193,16 +181,34 @@ def _exp(x: tuple) -> complex:
     return cmath.exp(x[0]) * (1.0 + x[1])
 
 
+def _product(table: tuple, x: complex, prod: complex) -> complex:
+    """prod * P(E) with E = exp(x), the one product loop of both entries."""
+    if table:
+        ep, em = cmath.exp(x), cmath.exp(-x)
+        for pk, d in table:
+            prod *= (1.0 - pk * ep) * (1.0 - pk * em) / d
+    return prod
+
+
 def _frame_value(ctx: ThetaContext, u: complex, m: int, n: int,
                  u0: complex) -> complex:
     """theta(u | tau) through the reduced frame, given the reduction
     u = u0 + m + n*tau in the caller's lattice."""
-    n0, steps, (t, c_hi, c_lo), scale, powers = ctx._frame
+    n0, steps, last, table = ctx._frame
+    if last is None:
+        value = cmath.sin(math.pi * u0) / math.pi * _product(
+            table, 2j * math.pi * u0, 1.0 + 0j)
+        if m or n:
+            sign = -1.0 if (m + n) % 2 else 1.0
+            phase = cmath.exp(-2j * math.pi * n * u0
+                              - 1j * math.pi * n * n * ctx.tau)
+            value = sign * phase * value
+        return value
+    factor, c_hi, c_lo = last      # factor = t/(2*pi*i) times each t_s
     # theta(u | tau) = theta(u | t) = (-1)^M theta(u - M | t), t = tau - n0;
     # v = u0 + n*t exactly, with no rounding of n*t
     flip = m + n * n0
     v = u - flip
-    factor = 1.0
     gauss = None
     for t_s, c_shi, c_slo, t_next in steps:
         # theta(v | t_s) = t_s exp(c_s v^2) theta(v/t_s | t_next + integer);
@@ -226,28 +232,11 @@ def _frame_value(ctx: ThetaContext, u: complex, m: int, n: int,
         core = _exp(_add(a, (-cv[0], -cv[1]))) - _exp(_add(a, cv))
     else:
         core = -2.0 * _exp(a) * (cmath.sinh(cv[0]) + cmath.cosh(cv[0]) * cv[1])
-    # the product is periodic under v -> v + t, so it takes u0 in the cell;
-    # there |E^{+-1}| <= |p'|^(-3/4), and a p' that needs a factor at all
-    # has |p'| > e^-148, so |E| < e^111 cannot overflow
-    if powers:
-        ep = cmath.exp(-2.0 * c_hi * u0)        # E = exp(2*pi*i*u0/t)
-        em = 1.0 / ep
-        for pk in powers:
-            core *= (1.0 - pk * ep) * (1.0 - pk * em)
-    value = factor * scale * core
+    # the product is periodic under v -> v + t, so it takes u0 in the cell,
+    # with E = exp(2*pi*i*u0/t); a p that needs a factor at all has
+    # |p| > e^-148, so |E^(+-1)| <= |p|^(-3/4) < e^111 cannot overflow
+    value = factor * _product(table, -2.0 * c_hi * u0, core)
     return -value if flip % 2 else value
-
-
-def _cell_value(ctx: ThetaContext, u: complex) -> complex:
-    """Product form, valid for u already inside the fundamental cell."""
-    ep = cmath.exp(2j * math.pi * u)
-    em = cmath.exp(-2j * math.pi * u)
-    prod = 1.0 + 0j
-    pk = 1.0 + 0j
-    for _ in range(ctx.truncation_terms):
-        pk *= ctx.nome_p
-        prod *= (1.0 - pk * ep) * (1.0 - pk * em) / (1.0 - pk) ** 2
-    return cmath.sin(math.pi * u) / math.pi * prod
 
 
 def _reduce(tau: complex, u: complex) -> tuple:
@@ -269,15 +258,7 @@ def theta(ctx: ThetaContext, u: complex) -> complex:
     """
     m, n, u0 = _reduce(ctx.tau, u)
     try:
-        if ctx._frame is not None:
-            value = _frame_value(ctx, complex(u), m, n, u0)
-        else:
-            value = _cell_value(ctx, u0)
-            if m or n:
-                sign = -1.0 if (m + n) % 2 else 1.0
-                phase = cmath.exp(-2j * math.pi * n * u0
-                                  - 1j * math.pi * n * n * ctx.tau)
-                value = sign * phase * value
+        value = _frame_value(ctx, complex(u), m, n, u0)
     except OverflowError:
         value = complex(math.inf)
     if not cmath.isfinite(value):

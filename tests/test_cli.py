@@ -227,14 +227,36 @@ def test_exit_one_on_mu_near_one(capsys):
     assert "FAIL" not in out
 
 
-def test_exit_one_on_overcap_route(capsys):
-    # the sum checks its cap before (q - 1/q)^n could overflow
+def test_exit_one_on_overcap_route(capsys, monkeypatch):
+    # the sum checks its cap before (q - 1/q)^n could overflow, and no
+    # route's nominal cost (the ASM number of n = 800 would take a minute)
+    # is computed outside `bench` rows
+    def no_cost(n):
+        raise AssertionError("nominal cost computed")
+
+    monkeypatch.setattr(dwbc.cli, "asm_number", no_cost)
     for argv in (("--n", "8", "--route", "enumerate"),
-                 ("--n", "10", "--route", "sum", "--q", "1e200")):
+                 ("--n", "10", "--route", "sum", "--q", "1e200"),
+                 ("--n", "800", "--route", "sum")):
         code, _, err = run_main(capsys, "compute", "--model", "six-vertex",
                                 *argv)
         assert code == 1
         assert "cap" in err and "overflows" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--model", "sos-trig", "--q", "1e300"),
+    ("check", "dybe", "--q", "1e300"),
+    ("compute", "--model", "sos-trig", "--q", "1e-300"),
+    ("check", "dybe", "--q", "1e-300"),
+    ("compute", "--model", "sos-trig", "--mu", "1e300", "--q", "1e5"),
+], ids=["compute", "check-dybe", "compute-tiny", "check-dybe-tiny",
+        "product"])
+def test_exit_one_on_mu_shift_overflow(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "mu*q^(2k) overflows" in err
 
 
 def test_exit_two_on_tolerance_failure(capsys):

@@ -123,10 +123,13 @@ def test_off_lattice_guard_names_the_argument(ctx):
     require_off_lattice(ctx, 0.31, "lambda")
 
 
-# tau values of the accuracy test: the product path (i), one S step at
-# every Im(tau) from 0.8 down to 0.002, and two S steps (0.45 + 0.1i)
+# tau values of the accuracy test: no S step (i, 10i, 40i, 200i), one S step
+# at every Im(tau) from 0.8 down to 0.002, and two S steps (0.45 + 0.1i)
 MP_BOUNDS = {
     1j: 4e-15,
+    10j: 4e-15,
+    40j: 4e-15,
+    200j: 4e-15,
     0.3 + 0.8j: 4e-15,
     0.1j: 2e-15,
     0.05j: 2e-15,
@@ -163,7 +166,7 @@ def test_agrees_with_mpmath(tau):
 def test_modular_identities(tau):
     """theta(u|tau + 1) = theta(u|tau) and
     theta(u|tau) = tau exp(-i pi u^2/tau) theta(u/tau | -1/tau), evaluated
-    on both sides; each side may take the product path or a reduced frame."""
+    on both sides; each side may take S steps or none."""
     ctx, ctx_t, ctx_s = (ThetaContext(tau), ThetaContext(tau + 1),
                          ThetaContext(-1 / tau))
     rng = np.random.default_rng(17)
@@ -187,26 +190,52 @@ def test_value_beyond_float_range_raises():
     assert theta(ctx, -0.01 - 0.0003j) == -val
 
 
-@pytest.mark.parametrize("tau", [1j, 10j, 40j])
+@pytest.mark.parametrize("tau", [1j, 1.5j, 10j, 40j, 200j, 0.6 + 2j])
 def test_product_path_is_unchanged(tau):
-    """Where tau needs no S step the value is today's truncated product,
-    bit for bit."""
+    """Where tau needs no S step the value is the former product path's
+    truncated product, bit for bit, although that path took
+    max(1, ceil(log 1e-16 / log|p|)) factors (1 when p underflows) where
+    the frame's rule takes as few as 0."""
     ctx = ThetaContext(tau)
+    p = cmath.exp(2j * math.pi * tau)
+    terms = 1 if p == 0 else max(1, math.ceil(math.log(1e-16)
+                                              / math.log(abs(p))))
     for u in (0.25, 0.31 + 0.07j, -0.48 + 0.2j):
         ep, em = cmath.exp(2j * math.pi * u), cmath.exp(-2j * math.pi * u)
         prod, pk = 1.0 + 0j, 1.0 + 0j
-        for _ in range(ctx.truncation_terms):
-            pk *= ctx.nome_p
+        for _ in range(terms):
+            pk *= p
             prod *= (1.0 - pk * ep) * (1.0 - pk * em) / (1.0 - pk) ** 2
         assert theta(ctx, u) == cmath.sin(math.pi * u) / math.pi * prod
 
 
+# theta at the benchmark's small tau before the two evaluation paths merged
+PINNED = {
+    0.1j: (5.754740301136588 + 0j,
+           10.317977170003063 + 11.411121536029592j,
+           -137.7815185245684 + 35.37628122230675j),
+    0.05j: (1040.4026815552484 + 0j,
+            -746.2238644005316 + 7397.802975783216j,
+            -557075.5525821398 + 306254.87665488984j),
+    0.02j: (19673355717.14781 + 0j,
+            -1367352712247.2158 - 2312067169297.219j,
+            -5.610506825152979e+16 + 1.726736449098279e+17j),
+}
+
+
+@pytest.mark.parametrize("tau", list(PINNED))
+def test_reduced_frame_values_are_pinned(tau):
+    ctx = ThetaContext(tau)
+    for u, val in zip((0.25, 0.31 + 0.07j, -0.48 + 0.2j), PINNED[tau]):
+        assert theta(ctx, u) == val
+
+
 def test_reduced_frame_needs_few_terms():
     assert ThetaContext(1j).truncation_terms == 6
-    # huge Im tau: nome underflows, a single factor suffices
-    assert ThetaContext(200j).truncation_terms == 1
+    # huge Im tau: |p|^(1/4) < 1e-16, so the product is empty
+    assert ThetaContext(200j).truncation_terms == 0
     # every tau is carried to Im(tau) >= sqrt(3)/2, where 7 factors suffice;
-    # below Im(tau) = 0.03 the product is empty
+    # below Im(tau) = 0.042 the product is empty
     for tau in list(MP_BOUNDS) + [0.001j, 1e-9j, 0.21 + 0.003j, 0.5 + 0.866j]:
         assert ThetaContext(tau).truncation_terms <= 7
     assert ThetaContext(0.02j).truncation_terms == 0

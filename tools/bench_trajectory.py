@@ -12,13 +12,15 @@ speed reaches both alike.  The file holds, per workload and tree, the
 median of each end-to-end metric over the seeds and the summed attempted
 and failed request counts, with the change/parent ratio of each median.
 
-Theta's cost per call is timed over 400 fixed arguments in
-[-0.3, 0.3] + i[-0.05, 0.05], where |theta| stays in the float range down
-to tau = 0.001i.  Both trees' packages are loaded into one interpreter,
-under two names, and their passes alternate, 25 each; the least pass time
-is kept.  The host's speed drifts over minutes and only ever adds time,
-so alternating puts both trees through the same fast and slow spells.  A
-tau a tree refuses is recorded as {"error": message} instead of a time.
+Theta's cost per call is timed at tau = i, 0.1i, 0.05i, 0.02i (every tau
+of the elliptic-deep-tau workload), 0.01i and 0.001i, over 400 fixed
+arguments in [-0.3, 0.3] + i[-0.05, 0.05], where |theta| stays in the
+float range down to tau = 0.001i.  Both trees' packages are loaded into
+one interpreter, under two names, and their passes alternate, 25 each;
+the least pass time is kept.  The host's speed drifts over minutes and
+only ever adds time, so alternating puts both trees through the same fast
+and slow spells.  A tau a tree refuses is recorded as {"error": message}
+instead of a time.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ THETA_PROBE = """
 import importlib.util, json, sys, time
 import numpy as np
 passes, trees = int(sys.argv[1]), dict(a.split("=", 1) for a in sys.argv[2:])
-taus = {"i": 1j, "0.1i": 0.1j, "0.01i": 0.01j, "0.001i": 0.001j}
+taus = {"i": 1j, "0.1i": 0.1j, "0.05i": 0.05j, "0.02i": 0.02j, "0.01i": 0.01j,
+        "0.001i": 0.001j}
 rng = np.random.default_rng(7)
 pts = [complex(x) for x in rng.uniform(-0.3, 0.3, 400)
        + 1j * rng.uniform(-0.05, 0.05, 400)]
