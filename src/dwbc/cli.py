@@ -8,8 +8,10 @@ Subcommands
     bench     time every route of a model over sizes n = 1..cap and report
               term counts
 
-compute and bench take the routes of a model from one table,
-`_model_routes`, whose size caps are the library's own.
+compute and bench run a model's routes through one runner, `_run_routes`.
+Its route table holds no size caps: a route over the library's cap raises
+`SizeCap`, which drops that route from `--route all` and from bench, and is
+an error only when that route was named.
 
 Complex flags accept plain reals, `a+bi` forms, the token `i`, and
 `[re, im]` pairs.  Seeded parameter lists are drawn componentwise from the
@@ -33,15 +35,15 @@ from math import factorial
 
 import numpy as np
 
-from .closedform import FACTORIAL_CAP, recursion_factor, z_6v_sum, \
-    z_izergin, z_sos_elliptic, z_trig_sos
+from .closedform import recursion_factor, z_6v_sum, z_izergin, \
+    z_sos_elliptic, z_trig_sos
 from .ellpoly import Character, interpolate, membership_residual, \
     addition_formula_residual, qj_interpolation_residual, theta_product_poly, \
     vandermonde_ratio
-from .enumeration import SIZE_CAP, asm_number, column_transfer_6v, \
+from .enumeration import asm_number, column_transfer_6v, \
     column_transfer_trig, column_transfer_z, enumerate_6v, enumerate_sos, \
     enumerate_trig_sos
-from .errors import DwbcError, InvalidParameter
+from .errors import DwbcError, InvalidParameter, SizeCap
 from .rmatrix import EllipticParams, TrigParams, dybe_residual, \
     dybe_residual_trig, gauge_rescale, sixv_rmatrix, sos_rmatrix, \
     trig_nondyn_rmatrix, trig_sos_rmatrix, ybe_residual_nondyn
@@ -169,34 +171,44 @@ def _config_echo(cfg: argparse.Namespace) -> dict:
     return out
 
 
-# each route's size cap and nominal term count at size n (for bench rows)
-_ROUTE_COST = {"enumerate": (SIZE_CAP, lambda n: asm_number(n)),
-               "transfer": (SIZE_CAP, lambda n: 2 ** n),
-               "determinant": (math.inf, lambda n: n ** 3),
-               "sum": (FACTORIAL_CAP, factorial)}
+# each route's nominal term count at size n, for bench rows
+_ROUTE_COST = {"enumerate": lambda n: asm_number(n),
+               "transfer": lambda n: 2 ** n,
+               "determinant": lambda n: n ** 3,
+               "sum": factorial}
 
 
-def _model_routes(cfg: argparse.Namespace, a: list, b: list) -> list:
-    """(name, cap, thunk) for every route of cfg.model on the column
-    parameters a and row parameters b, in report order."""
+def _run_routes(cfg: argparse.Namespace, a: list, b: list, route: str) -> list:
+    """(name, value, ms) for the route of cfg.model named by route, or for
+    each of its routes when route is 'all', run in report order on the
+    column parameters a and row parameters b.  'all' drops a route whose
+    library call raises SizeCap; a named route passes the error on."""
     if cfg.model == "sos-elliptic":
         ctx = ThetaContext(cfg.tau)
         p = EllipticParams(a, b, cfg.lam, cfg.hbar)
-        routes = [("enumerate", lambda: enumerate_sos(ctx, p)),
-                  ("transfer", lambda: column_transfer_z(ctx, p)),
-                  ("sum", lambda: z_sos_elliptic(ctx, p))]
+        routes = {"enumerate": lambda: enumerate_sos(ctx, p),
+                  "transfer": lambda: column_transfer_z(ctx, p),
+                  "sum": lambda: z_sos_elliptic(ctx, p)}
     elif cfg.model == "sos-trig":
         p = TrigParams(a, b, cfg.q, cfg.mu)
-        routes = [("enumerate", lambda: enumerate_trig_sos(p)),
-                  ("transfer", lambda: column_transfer_trig(p)),
-                  ("sum", lambda: z_trig_sos(p))]
+        routes = {"enumerate": lambda: enumerate_trig_sos(p),
+                  "transfer": lambda: column_transfer_trig(p),
+                  "sum": lambda: z_trig_sos(p)}
     else:
         p = TrigParams(a, b, cfg.q)
-        routes = [("enumerate", lambda: enumerate_6v(p)),
-                  ("transfer", lambda: column_transfer_6v(p)),
-                  ("determinant", lambda: z_izergin(p)),
-                  ("sum", lambda: z_6v_sum(p))]
-    return [(name, _ROUTE_COST[name][0], thunk) for name, thunk in routes]
+        routes = {"enumerate": lambda: enumerate_6v(p),
+                  "transfer": lambda: column_transfer_6v(p),
+                  "determinant": lambda: z_izergin(p),
+                  "sum": lambda: z_6v_sum(p)}
+    runs = []
+    for name, thunk in routes.items():
+        if route in (name, "all"):
+            try:
+                runs.append((name, *_timed(thunk)))
+            except SizeCap:
+                if route != "all":
+                    raise
+    return runs
 
 
 def cmd_compute(cfg: argparse.Namespace):
@@ -204,23 +216,17 @@ def cmd_compute(cfg: argparse.Namespace):
     if getattr(cfg, pair[0]) is None:
         for name, draw in zip(pair, draw_parameters(cfg.n, cfg.seed)):
             setattr(cfg, name, draw)
-    routes = [(name, thunk) for name, cap, thunk
-              in _model_routes(cfg, *(getattr(cfg, name) for name in pair))
-              if name == cfg.route  # over-cap single route raises SizeCap
-              or (cfg.route == "all" and cfg.n <= cap)]
-    if not routes:
+    runs = _run_routes(cfg, *(getattr(cfg, name) for name in pair), cfg.route)
+    if not runs:
         raise InvalidParameter(
             f"model '{cfg.model}' has no route '{cfg.route}' at n = {cfg.n}")
-    results = []
-    values = []
-    for name, thunk in routes:
-        val, ms = _timed(thunk)
-        values.append(complex(val))
-        results.append({"route": name, "value": _cjson(val), "time_ms": ms})
-    comparisons = [{"a": routes[i][0], "b": routes[j][0],
+    results = [{"route": name, "value": _cjson(val), "time_ms": ms}
+               for name, val, ms in runs]
+    values = [complex(val) for _, val, _ in runs]
+    comparisons = [{"a": runs[i][0], "b": runs[j][0],
                     "rel_diff": _rel(values[i], values[j])}
-                   for i in range(len(routes))
-                   for j in range(i + 1, len(routes))]
+                   for i in range(len(runs))
+                   for j in range(i + 1, len(runs))]
     ok = all(cmath.isfinite(val) for val in values) \
         and all(c["rel_diff"] <= cfg.tolerance for c in comparisons)
     verdict = "pass" if ok else "fail"
@@ -429,27 +435,16 @@ def cmd_check(cfg: argparse.Namespace):
 
 def cmd_bench(cfg: argparse.Namespace):
     results = []
-    det_time = {}
-    sum_time = {}
     for n in range(1, cfg.n + 1):
         rng = np.random.default_rng([cfg.seed, n])
         a, b = _draw_box(rng, n), _draw_box(rng, n)
-        for name, cap, thunk in _model_routes(cfg, a, b):
-            if n > cap:
-                continue
-            val, ms = _timed(thunk)
-            results.append({"route": name, "value": _cjson(val),
-                            "time_ms": ms, "n": n,
-                            "terms": _ROUTE_COST[name][1](n)})
-            if name == "determinant":
-                det_time[n] = ms
-            elif name == "sum":
-                sum_time[n] = ms
-    crossover = -1.0
-    for n in sorted(det_time):
-        if n in sum_time and det_time[n] < sum_time[n]:
-            crossover = float(n)
-            break
+        results += [{"route": name, "value": _cjson(val), "time_ms": ms,
+                     "n": n, "terms": _ROUTE_COST[name](n)}
+                    for name, val, ms in _run_routes(cfg, a, b, "all")]
+    times = {(row["route"], row["n"]): row["time_ms"] for row in results}
+    crossover = next((float(n) for n in range(1, cfg.n + 1)
+                      if ("determinant", n) in times and ("sum", n) in times
+                      and times["determinant", n] < times["sum", n]), -1.0)
     report = {
         "command": "bench", "config": _config_echo(cfg), "results": results,
         "comparisons": [], "verdict": "pass",
@@ -552,21 +547,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(cfg: argparse.Namespace) -> None:
     if cfg.n < 1:
         raise InvalidParameter(f"n must be >= 1, got {cfg.n}")
+    if cfg.seed < 0:
+        raise InvalidParameter(f"--seed must be >= 0, got {cfg.seed}")
     if not cfg.tolerance > 0:
         raise InvalidParameter(f"tolerance must be positive, got {cfg.tolerance}")
-    if cfg.route == "determinant" and cfg.model != "six-vertex":
-        raise InvalidParameter(
-            "route 'determinant' applies only to model 'six-vertex'")
-    for name in ("u", "v", "z", "w"):
-        lst = getattr(cfg, name)
-        if lst is not None and len(lst) != cfg.n:
+    given = {name: getattr(cfg, name) for name in ("u", "v", "z", "w")
+             if getattr(cfg, name) is not None}
+    for name, lst in given.items():
+        if len(lst) != cfg.n:
             raise InvalidParameter(
                 f"--{name} lists {len(lst)} values but n = {cfg.n}")
     pair = _PARAMETER_NAMES[cfg.model]
-    given = [name for name in pair if getattr(cfg, name) is not None]
-    if len(given) == 1:
+    if given and tuple(given) != pair:
         raise InvalidParameter(
-            f"--{pair[0]} and --{pair[1]} must be given together")
+            f"model '{cfg.model}' takes --{pair[0]} and --{pair[1]}, given "
+            f"together; got {' '.join('--' + name for name in given)}")
 
 
 _PARSER = build_parser()

@@ -11,7 +11,8 @@ import pytest
 
 import dwbc.__main__
 import dwbc.cli
-from dwbc import theta, ThetaContext
+import dwbc.enumeration
+from dwbc import SIZE_CAP, theta, ThetaContext
 from dwbc.cli import REPORT_SCHEMA, draw_parameters, main, parse_complex
 
 from helpers import rel_diff
@@ -124,6 +125,58 @@ def test_compute_text_format_mentions_routes(capsys):
     assert "verdict: pass" in out
 
 
+def result_routes(rep):
+    return [r["route"] for r in rep["results"]]
+
+
+def test_runner_takes_the_caps_from_the_library(capsys, monkeypatch):
+    # a route is dropped from `all` because its library call refuses n,
+    # not because the CLI keeps a copy of the cap
+    monkeypatch.setattr(dwbc.enumeration, "SIZE_CAP", 4)
+    code, rep, _ = run_json(capsys, "compute", "--model", "six-vertex",
+                            "--n", "5", "--route", "all")
+    assert code == 0
+    assert result_routes(rep) == ["determinant", "sum"]
+
+
+@pytest.mark.parametrize("model, n, routes", [
+    ("six-vertex", 7, ["determinant", "sum"]),
+    ("six-vertex", 10, ["determinant"]),
+    ("sos-elliptic", 7, ["sum"]),
+], ids=["six-vertex-7", "six-vertex-10", "sos-elliptic-7"])
+def test_route_all_past_the_caps(capsys, model, n, routes):
+    code, rep, _ = run_json(capsys, "compute", "--model", model,
+                            "--n", str(n), "--route", "all")
+    assert code == 0
+    assert result_routes(rep) == routes
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--model", "sos-trig", "--n", "10", "--route", "all"),
+     "model 'sos-trig' has no route 'all' at n = 10"),
+    (("--route", "enumerate", "--n", "7"),
+     f"n = 7 exceeds the enumeration cap {SIZE_CAP}"),
+], ids=["all-capped", "named-capped"])
+def test_exit_one_past_the_caps(capsys, argv, message):
+    code, out, err = run_main(capsys, "compute", *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+def test_bench_rows_past_the_caps(capsys):
+    code, rep, _ = run_json(capsys, "bench", "--model", "six-vertex",
+                            "--n", "7")
+    assert code == 0
+    sizes = {}
+    for row in rep["results"]:
+        sizes.setdefault(row["route"], []).append(row["n"])
+    assert sizes == {"enumerate": list(range(1, 7)),
+                     "transfer": list(range(1, 7)),
+                     "determinant": list(range(1, 8)),
+                     "sum": list(range(1, 8))}
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -141,6 +194,30 @@ def test_exit_one_on_bad_n(capsys):
     code, _, err = run_main(capsys, "compute", "--n", "0")
     assert code == 1
     assert "parameter error" in err
+
+
+@pytest.mark.parametrize("argv", [("compute",), ("check", "dybe"), ("bench",)],
+                         ids=["compute", "check", "bench"])
+def test_exit_one_on_negative_seed(capsys, argv):
+    code, out, err = run_main(capsys, *argv, "--n", "2", "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert "--seed must be >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (("--model", "six-vertex", "--u", "0.1", "0.2", "--v", "0.3", "0.4"),
+     "got --u --v"),
+    (("--model", "sos-elliptic", "--z", "0.1", "--w", "0.3"), "got --z --w"),
+    (("--model", "sos-elliptic", "--u", "0.1", "--v", "0.3", "--z", "0.5"),
+     "got --u --v --z"),
+    (("--model", "sos-trig", "--z", "0.1"), "got --z"),
+], ids=["uv-for-six-vertex", "zw-for-elliptic", "extra-z", "z-alone"])
+def test_exit_one_on_lists_the_model_does_not_take(capsys, argv, flags):
+    code, out, err = run_main(capsys, "compute", *argv)
+    assert code == 1
+    assert out == ""
+    assert flags in err
 
 
 @pytest.mark.parametrize("flag, value", [("--lambda", "0"), ("--lambda", "60"),

@@ -21,6 +21,10 @@ the least pass time is kept.  The host's speed drifts over minutes and
 only ever adds time, so alternating puts both trees through the same fast
 and slow spells.  A tau a tree refuses is recorded as {"error": message}
 instead of a time.
+
+Cold start is the wall time of `python -m dwbc compute --n 1` in a fresh
+interpreter with the tree's `src` as PYTHONPATH: 5 runs per tree, the
+trees alternating, and the median is kept as "cold_start_s".
 """
 
 from __future__ import annotations
@@ -32,12 +36,14 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = [1, 2, 3]
 THETA_PASSES = 25
+COLD_RUNS = 5
 
 # argv: PASSES, then NAME=SRC pairs; prints {NAME: {tau: us per call, or
 # {"error": message}}}, timing the trees' passes in turn.
@@ -112,6 +118,19 @@ def theta_costs(trees: dict) -> dict:
     return json.loads(proc.stdout)
 
 
+def cold_start(trees: dict) -> dict:
+    """Median seconds of `python -m dwbc compute --n 1` per tree."""
+    times = {side: [] for side in trees}
+    for _ in range(COLD_RUNS):
+        for side, tree in trees.items():
+            env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, "-m", "dwbc", "compute", "--n", "1"],
+                           cwd=tree, env=env, check=True, capture_output=True)
+            times[side].append(time.perf_counter() - t0)
+    return {side: statistics.median(t) for side, t in times.items()}
+
+
 def summarize(results: list) -> dict:
     out = {name: statistics.median(r["metrics"][name]["value"] for r in results)
            for name in results[0]["metrics"]}
@@ -145,6 +164,7 @@ def main(argv=None) -> int:
                             for m in spec["end_to_end"]}
         workloads[w["name"]] = medians
     theta_us = theta_costs(trees)
+    cold_start_s = cold_start(trees)
 
     report = {
         "command": ("python3 tools/bench_trajectory.py --parent "
@@ -162,6 +182,7 @@ def main(argv=None) -> int:
         "workloads": workloads,
         "theta_us_per_call": {tau: {side: theta_us[side][tau] for side in trees}
                               for tau in theta_us["change"]},
+        "cold_start_s": cold_start_s,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
