@@ -1,7 +1,8 @@
 """Domain-wall partition functions of the elliptic SOS, trigonometric SOS
 and six-vertex models, computed by independent routes that cross-check one
-another: brute-force configuration enumeration, column-transfer-matrix
-contraction, permutation-sum closed forms and the Izergin determinant."""
+another: a column sum over ice configurations memoized on (column,
+right-edge signs), column-transfer-matrix contraction, permutation-sum
+closed forms and the Izergin determinant."""
 
 from .closedform import FACTORIAL_CAP, recursion_factor, weight_kernel, \
     z_6v_sum, z_izergin, z_sos_elliptic, z_trig_sos

@@ -25,33 +25,28 @@ FACTORIAL_CAP = 9
 _COND_WARN = 1e12
 
 
-def _inversions(sig):
-    n = len(sig)
-    for l in range(n):
-        for m in range(l + 1, n):
-            if sig[l] > sig[m]:
-                yield sig[l], sig[m]
-
-
 def _perm_sum(G, F):
     """Sum over all permutations sigma of range(n), lexicographically, of
 
         prod_{inversions (a, b) of sigma} G[a][b] * prod_m prod F[m][sigma(m)]
 
     where G[a][b] is given for a > b only and F[m][j] is the tuple of
-    factors row m contributes when it takes the parameter j, multiplied
-    one by one in tuple order.
+    factors row m contributes when it takes the parameter j.  A term takes
+    the G factors as it walks the position pairs l < l' in order, then the
+    F factors one by one in tuple order.
     """
-    def term(sig):
+    total = 0
+    for sig in permutations(range(len(F))):
         t = 1.0 + 0j
-        for a, b in _inversions(sig):
-            t *= G[a][b]
+        for l, a in enumerate(sig):
+            for b in sig[l + 1:]:
+                if a > b:
+                    t *= G[a][b]
         for m, j in enumerate(sig):
             for f in F[m][j]:
                 t *= f
-        return t
-
-    return sum(term(sig) for sig in permutations(range(len(F))))
+        total += t
+    return total
 
 
 def z_sos_elliptic(ctx: ThetaContext, p: EllipticParams) -> complex:

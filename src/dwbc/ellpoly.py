@@ -86,13 +86,20 @@ def membership_residual(ctx: ThetaContext, f, chi: Character,
     return worst
 
 
-def _check_nodes(ctx, nodes, alpha):
+def _check_distinct(ctx, nodes, label="nodes", first=1):
+    """Raise DegenerateNodes if two nodes coincide modulo the lattice;
+    nodes[i] is named label[i + first] in the message."""
     for i in range(len(nodes)):
         for j in range(i):
             if is_on_lattice(ctx, nodes[i] - nodes[j]):
                 raise DegenerateNodes(
-                    f"nodes[{i + 1}] - nodes[{j + 1}] = {nodes[i] - nodes[j]} "
-                    f"lies on the lattice Gamma (coinciding nodes)")
+                    f"{label}[{i + first}] - {label}[{j + first}] = "
+                    f"{nodes[i] - nodes[j]} lies on the lattice Gamma "
+                    f"(coinciding nodes)")
+
+
+def _check_nodes(ctx, nodes, alpha):
+    _check_distinct(ctx, nodes)
     s = sum(nodes) - alpha
     if is_on_lattice(ctx, s):
         raise DegenerateNodes(
@@ -221,6 +228,7 @@ def qj_interpolation_residual(ctx: ThetaContext, us, lam: complex,
     if not 2 <= j <= n:
         raise InvalidParameter(f"j must lie in [2, {n}], got {j}")
     require_off_lattice(ctx, lam, "lambda")
+    _check_distinct(ctx, us[1:], "us", 2)
 
     def q_of(x):
         t = theta(ctx, us[j - 1] - x + lam - (n - 2 * j + 2) * hbar) \

@@ -5,7 +5,8 @@ A vertex with edge signs alpha (top), beta (right), gamma (bottom), delta
 alpha + beta = gamma + delta, so an RMatrix4 is just the five weights
 (a, b, bbar, c, cbar).  Its matrix `.m` on C^2 (x) C^2, basis ordered
 (++, +-, -+, --), maps the incoming pair (gamma, delta) to the outgoing
-pair (alpha, beta); _LAYOUT places the weights as
+pair (alpha, beta).  _LAYOUT, the one statement of the ice rule (_SLOTS,
+_TAKE and _ADMITTED are derived from it), places the weights as
 
         a  .  .  .
         .  b  cb .          b  = R[+-,+-]   cb = R[+-,-+]
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateParameter, InvalidParameter
+from .errors import DegenerateParameter, InvalidParameter, _check_finite
 from .theta import _LATTICE_TOL, ThetaContext, require_off_lattice, theta
 
 # weight slot of each matrix entry: 0 a, 1 b, 2 bbar, 3 c, 4 cbar, 5 zero
@@ -40,6 +41,9 @@ _SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))   # basis order
 _SLOTS = {_SIGN_PAIRS[row] + _SIGN_PAIRS[col]: slot
           for row, slots in enumerate(_LAYOUT)
           for col, slot in enumerate(slots) if slot < 5}
+# (alpha, beta) -> the (gamma, delta) the ice rule admits, in layout order
+_ADMITTED = {ab: tuple(v[2:] for v in _SLOTS if v[:2] == ab)
+             for ab in _SIGN_PAIRS}
 _TAKE = np.array(_LAYOUT).ravel()
 
 
@@ -88,6 +92,7 @@ class EllipticParams:
         object.__setattr__(self, "v", tuple(complex(x) for x in self.v))
         object.__setattr__(self, "lam", complex(self.lam))
         object.__setattr__(self, "hbar", complex(self.hbar))
+        _check_finite(u=self.u, v=self.v, lam=self.lam, hbar=self.hbar)
         if len(self.u) != len(self.v) or not self.u:
             raise InvalidParameter(
                 f"need equally many u and v parameters, n >= 1; "
@@ -127,6 +132,7 @@ class TrigParams:
         object.__setattr__(self, "q", complex(self.q))
         if self.mu is not None:
             object.__setattr__(self, "mu", complex(self.mu))
+        _check_finite(z=self.z, w=self.w, q=self.q, mu=self.mu)
         if len(self.z) != len(self.w) or not self.z:
             raise InvalidParameter(
                 f"need equally many z and w parameters, n >= 1; "

@@ -52,7 +52,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import DegenerateParameter, InvalidParameter
+from .errors import DegenerateParameter, InvalidParameter, _check_finite
 
 _TRUNCATION_TARGET = 1e-16
 _LATTICE_TOL = 1e-10    # distance below which a point counts as on Gamma
@@ -78,6 +78,7 @@ class ThetaContext:
 
     def __post_init__(self):
         tau = complex(self.tau)
+        _check_finite(tau=tau)
         if not tau.imag > 2 * _LATTICE_TOL:
             raise InvalidParameter(
                 f"tau = {tau} must have Im(tau) > 2*{_LATTICE_TOL:g}, twice "
@@ -254,9 +255,14 @@ def theta(ctx: ThetaContext, u: complex) -> complex:
     The argument is translated into the fundamental cell by integer steps
     (m, n) along (1, tau); the accumulated quasi-periodicity phase is exact,
     so the translation laws hold to rounding error by construction.  A
-    value beyond the float range raises InvalidParameter.
+    non-finite argument, or a value beyond the float range, raises
+    InvalidParameter.
     """
-    m, n, u0 = _reduce(ctx.tau, u)
+    try:
+        m, n, u0 = _reduce(ctx.tau, u)
+    except (ValueError, OverflowError):     # round() of a nan or an inf
+        raise InvalidParameter(
+            f"theta argument {complex(u)} is not finite") from None
     try:
         value = _frame_value(ctx, complex(u), m, n, u0)
     except OverflowError:

@@ -8,6 +8,7 @@ from dwbc import (DegenerateParameter, EllipticParams, SizeCap, ThetaContext,
                   recursion_factor, theta, weight_kernel, z_6v_sum,
                   z_izergin, z_sos_elliptic, z_trig_sos)
 
+from dwbc.closedform import _perm_sum
 from helpers import draw_multiplicative, draw_spectral, rel_diff
 from oracles import inversions, perm_sum, sixv_bruteforce
 
@@ -166,6 +167,27 @@ def test_kernel_symmetrization(ctx, rng, n):
 
     total = pref * perm_sum(n, term)
     assert rel_diff(total, z_sos_elliptic(ctx, p)) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_perm_sum_matches_the_oracle_bit_for_bit(rng, n):
+    def draw():
+        return complex(rng.normal(), rng.normal())
+
+    G = [[draw() for b in range(a)] for a in range(n)]
+    F = [[tuple(draw() for _ in range(rng.integers(4))) for j in range(n)]
+         for m in range(n)]
+
+    def term(sig):
+        t = 1.0 + 0j
+        for a, b in inversions(sig):
+            t *= G[a][b]
+        for m, j in enumerate(sig):
+            for f in F[m][j]:
+                t *= f
+        return t
+
+    assert _perm_sum(G, F) == perm_sum(n, term)
 
 
 def test_factorial_cap(ctx):

@@ -97,6 +97,11 @@ def test_interpolation_rejects_colliding_nodes(ctx):
         interpolate(ctx, [0.3, 0.3], [1.0, 1.0], 0.27, 0.5)
 
 
+def test_qj_interpolation_rejects_colliding_nodes(ctx):
+    with pytest.raises(DegenerateNodes, match=r"us\[3\] - us\[2\]"):
+        qj_interpolation_residual(ctx, [0.1, 0.2, 0.2], 0.31, 0.17, 2, 0.05)
+
+
 def test_vandermonde_ratio_is_node_independent(ctx, rng):
     """det of basis evaluations over the canonical theta Vandermonde is a
     constant of the basis, not of the nodes."""

@@ -10,7 +10,7 @@ from dwbc import (FACTORIAL_CAP, SIZE_CAP, DegenerateParameter,
                   count_configurations, dwbc_sign_configs, enumerate_6v,
                   enumerate_sos, enumerate_trig_sos, sixv_rmatrix,
                   sos_rmatrix, theta, trig_sos_rmatrix, z_6v_sum,
-                  z_sos_elliptic, z_trig_sos)
+                  z_izergin, z_sos_elliptic, z_trig_sos)
 
 from helpers import draw_multiplicative, draw_spectral, rel_diff
 from oracles import sixv_bruteforce, transfer_contract_loop
@@ -23,6 +23,47 @@ def test_asm_numbers():
 
 def test_configuration_counts_match_asm():
     assert [count_configurations(n) for n in range(1, 6)] == [1, 2, 7, 42, 429]
+    assert SIZE_CAP == 6
+    assert count_configurations(6) == asm_number(6) == 7436
+
+
+# Every route at one fixed n = 4 input.  The values are exact float results
+# of the routes' arithmetic, so a changed bit means a changed order of
+# multiplication or summation.
+PINNED_ROUTES = {
+    "enumerate_sos": -1.7771142109442755e-11 + 6.515131453027047e-12j,
+    "column_transfer_z": -1.7771142109442755e-11 + 6.515131453027042e-12j,
+    "z_sos_elliptic": -1.777114210944273e-11 + 6.51513145302705e-12j,
+    "enumerate_6v": -0.5619184411633938 + 3.5609459690767618j,
+    "column_transfer_6v": -0.5619184411633941 + 3.560945969076763j,
+    "z_6v_sum": -0.5619184411633948 + 3.5609459690767604j,
+    "z_izergin": -0.5619184411633933 + 3.5609459690767626j,
+    "enumerate_trig_sos": 10.346677422186822 - 30.4097073349032j,
+    "column_transfer_trig": 10.346677422186836 - 30.409707334903192j,
+    "z_trig_sos": 10.346677422186847 - 30.40970733490321j,
+}
+
+
+def test_route_values_are_pinned():
+    ctx = ThetaContext(1j)
+    pe = EllipticParams([0.40, 0.55 + 0.02j, 0.12, 0.71],
+                        [0.10, 0.23, 0.35 - 0.03j, 0.05], 0.31, 0.17)
+    pt = TrigParams([0.7 + 0.1j, 0.9, 1.2 - 0.2j, 1.5],
+                    [1.7, 2.1 + 0.3j, 2.4, 2.8], 1.3, mu=0.7)
+    p6 = TrigParams(pt.z, pt.w, pt.q)
+    got = {
+        "enumerate_sos": enumerate_sos(ctx, pe),
+        "column_transfer_z": column_transfer_z(ctx, pe),
+        "z_sos_elliptic": z_sos_elliptic(ctx, pe),
+        "enumerate_6v": enumerate_6v(p6),
+        "column_transfer_6v": column_transfer_6v(p6),
+        "z_6v_sum": z_6v_sum(p6),
+        "z_izergin": z_izergin(p6),
+        "enumerate_trig_sos": enumerate_trig_sos(pt),
+        "column_transfer_trig": column_transfer_trig(pt),
+        "z_trig_sos": z_trig_sos(pt),
+    }
+    assert got == PINNED_ROUTES
 
 
 def test_single_vertex_values(ctx, rng):

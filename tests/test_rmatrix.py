@@ -10,9 +10,10 @@ import pytest
 
 from dwbc import (DegenerateParameter, EllipticParams, InvalidParameter,
                   ThetaContext, TrigParams, dybe_residual, dybe_residual_trig,
-                  gauge_rescale, sixv_rmatrix, sos_rmatrix, theta,
-                  trig_nondyn_rmatrix, trig_sos_rmatrix, ybe_residual_nondyn)
-from dwbc.rmatrix import dybe_residual_from_builder
+                  enumerate_sos, gauge_rescale, sixv_rmatrix, sos_rmatrix,
+                  theta, trig_nondyn_rmatrix, trig_sos_rmatrix,
+                  ybe_residual_nondyn, z_izergin)
+from dwbc.rmatrix import _ADMITTED, _SLOTS, dybe_residual_from_builder
 
 from helpers import draw_spectral
 
@@ -189,6 +190,36 @@ def test_trig_params_validation():
         TrigParams([2.0, 2.1], [3.0, 3.1], 1.3, mu=1.3 ** -2).validate()
     with pytest.raises(InvalidParameter):
         TrigParams([2.0, 2.1], [3.0], 1.3)
+
+
+NAN, INF = complex(math.nan), complex(math.inf)
+
+
+@pytest.mark.parametrize("name,call", [
+    ("tau", lambda: ThetaContext(complex(0, math.inf))),
+    ("theta", lambda: theta(ThetaContext(1j), NAN)),
+    ("theta", lambda: theta(ThetaContext(1j), INF)),
+    ("z", lambda: z_izergin(TrigParams([NAN, 0.5], [0.2, 0.7], 1.3))),
+    ("q", lambda: TrigParams([0.5], [0.2], INF)),
+    ("mu", lambda: TrigParams([0.5], [0.2], 1.3, mu=NAN)),
+    ("u", lambda: enumerate_sos(ThetaContext(1j),
+                                EllipticParams([NAN], [0.2], 0.31, 0.17))),
+    ("hbar", lambda: EllipticParams([0.4], [0.2], 0.31, INF)),
+], ids=["tau-inf", "theta-nan", "theta-inf", "z-nan", "q-inf", "mu-nan",
+        "u-nan", "hbar-inf"])
+def test_non_finite_input_is_a_named_parameter_error(name, call):
+    with pytest.raises(InvalidParameter, match=rf"^{name}\b"):
+        call()
+
+
+def test_admitted_table_is_the_ice_rule_of_the_layout():
+    listed = {ab + gd for ab, gds in _ADMITTED.items() for gd in gds}
+    assert listed == set(_SLOTS)
+    assert len(listed) == 6
+    for ab, gds in _ADMITTED.items():
+        assert all(sum(ab) == sum(gd) for gd in gds)
+    # the order fixes the descent order of the configuration routes
+    assert _ADMITTED[1, -1] == _ADMITTED[-1, 1] == ((1, -1), (-1, 1))
 
 
 def test_mu_near_one_is_degenerate_for_the_builder():

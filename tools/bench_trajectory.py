@@ -1,5 +1,6 @@
-"""Write one BENCH_<N>.json: the benchmark's end-to-end medians and theta's
-cost per call, for a parent revision and for this checkout.
+"""Write one BENCH_<N>.json: the benchmark's end-to-end medians, its
+per-layer counts and theta's cost per call, for a parent revision and for
+this checkout.
 
     python3 tools/bench_trajectory.py --parent REV --out BENCH_7.json
 
@@ -11,6 +12,14 @@ parent and change alternating so that a drift of the machine's
 speed reaches both alike.  The file holds, per workload and tree, the
 median of each end-to-end metric over the seeds and the summed attempted
 and failed request counts, with the change/parent ratio of each median.
+
+Per-layer counts come from one `perfbench/run.py --trace 1` run per
+workload and tree, seed 1, at the same run length.  "per_layer" holds
+every per-layer metric whose BENCHMARK.json unit is count/req or
+computed/req, as {workload: {metric: {"parent": ..., "change": ...}}}.
+Those depend only on the requests, so a change that keeps them equal did
+the same work; the timed per-layer metrics swing with the host and are
+left out.
 
 Theta's cost per call is timed at tau = i, 0.1i, 0.05i, 0.02i (every tau
 of the elliptic-deep-tau workload), 0.01i and 0.001i, over 400 fixed
@@ -42,6 +51,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = [1, 2, 3]
+TRACE_SEED = 1
+COUNT_UNITS = ("count/req", "computed/req")
 THETA_PASSES = 25
 COLD_RUNS = 5
 
@@ -101,11 +112,12 @@ def export(rev: str) -> Path:
     return dest
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one untraced perfbench run in `tree`."""
+def bench(tree: Path, workload: str, seed: int, seconds: float,
+          trace: int = 0) -> dict:
+    """The result line of one perfbench run in `tree`."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, check=True, capture_output=True, text=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -163,6 +175,19 @@ def main(argv=None) -> int:
                             / medians["parent"][m["name"]]
                             for m in spec["end_to_end"]}
         workloads[w["name"]] = medians
+    counts = [m["name"] for m in spec["per_layer"] if m["unit"] in COUNT_UNITS]
+    per_layer = {}
+    for w in spec["workloads"]:
+        metrics = {side: bench(tree, w["name"], TRACE_SEED, seconds,
+                               trace=1)["metrics"]
+                   for side, tree in trees.items()}
+        rows = per_layer[w["name"]] = {
+            name: {side: metrics[side][name]["value"] for side in trees}
+            for name in counts}
+        differ = [name for name, v in rows.items()
+                  if v["parent"] != v["change"]]
+        print(f"{w['name']} traced: counts differ in {differ or 'none'}",
+              file=sys.stderr)
     theta_us = theta_costs(trees)
     cold_start_s = cold_start(trees)
 
@@ -180,6 +205,7 @@ def main(argv=None) -> int:
                         "cpus": len(os.sched_getaffinity(0))},
         "end_to_end": {m["name"]: m["unit"] for m in spec["end_to_end"]},
         "workloads": workloads,
+        "per_layer": per_layer,
         "theta_us_per_call": {tau: {side: theta_us[side][tau] for side in trees}
                               for tau in theta_us["change"]},
         "cold_start_s": cold_start_s,
