@@ -44,6 +44,10 @@ axis, Im(tau) >= 23.5 or Im(tau) <= 0.042).  The exponents grow like
 many times the unit roundoff; so c is stored as a double-double and each
 exponent is formed with error-free transforms (Dekker's product, Knuth's
 sum).  A value beyond the float range raises InvalidParameter.
+
+Memo.  Each context remembers the values theta has returned on it, keyed
+on the argument's bits, so an argument that recurs while the context lives
+is evaluated once.
 """
 
 from __future__ import annotations
@@ -58,16 +62,27 @@ _TRUNCATION_TARGET = 1e-16
 _LATTICE_TOL = 1e-10    # distance below which a point counts as on Gamma
 _PI_LO = 1.2246467991473532e-16   # pi - math.pi, the tail of pi's double-double
 _SPLIT = 134217729.0    # 2**27 + 1, Dekker's splitter for a 53-bit mantissa
+_MEMO_LIMIT = 4096      # values one context remembers; later ones are not stored
 
 
 @dataclass(frozen=True)
 class ThetaContext:
-    """Modular parameter with its reduced frame.
+    """Modular parameter with its reduced frame, and a memo of theta's values.
 
-    Immutable and stateless after construction, so a single context can be
-    shared freely between threads.  Construction fails unless
-    Im(tau) > 2 * 1e-10, the lattice guard's tolerance: below that, two
-    lattice points could both lie within the tolerance of one argument.
+    The frame is fixed at construction.  The memo maps the bits of each
+    argument theta has evaluated on this context (both parts and the signs
+    of their zeros) to the finite value it returned.  It lives as long as
+    the context (the CLI builds one per request), holds at most
+    _MEMO_LIMIT = 4,096 values (past that, theta computes without storing)
+    and takes no part in equality, hash or repr.  A context can be shared
+    freely between threads: a dict get or set is atomic under the
+    interpreter lock, and a stored value is the one any thread would
+    compute, so a race costs at most a repeated evaluation or a few entries
+    past the limit.
+
+    Construction fails unless Im(tau) > 2 * 1e-10, the lattice guard's
+    tolerance: below that, two lattice points could both lie within the
+    tolerance of one argument.
     `truncation_terms` is K, the number of product factors one evaluation
     multiplies.
     """
@@ -75,6 +90,8 @@ class ThetaContext:
     tau: complex
     truncation_terms: int = field(init=False)
     _frame: tuple = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False,
+                        default_factory=dict)
 
     def __post_init__(self):
         tau = complex(self.tau)
@@ -240,12 +257,16 @@ def _frame_value(ctx: ThetaContext, u: complex, m: int, n: int,
     return -value if flip % 2 else value
 
 
-def _reduce(tau: complex, u: complex) -> tuple:
-    """(m, n, u0) with u = u0 + m + n*tau and u0 in the fundamental cell."""
+def _reduce(tau: complex, u: complex, name: str = "theta argument") -> tuple:
+    """(m, n, u0) with u = u0 + m + n*tau and u0 in the fundamental cell.
+    A non-finite u raises InvalidParameter, calling it `name`."""
     u = complex(u)
-    n = round(u.imag / tau.imag)
-    u1 = u - n * tau
-    m = round(u1.real)
+    try:
+        n = round(u.imag / tau.imag)
+        u1 = u - n * tau
+        m = round(u1.real)
+    except (ValueError, OverflowError):     # round() of a nan or an inf
+        raise InvalidParameter(f"{name} {u} is not finite") from None
     return m, n, complex(u1.real - m, u1.imag)
 
 
@@ -256,21 +277,30 @@ def theta(ctx: ThetaContext, u: complex) -> complex:
     (m, n) along (1, tau); the accumulated quasi-periodicity phase is exact,
     so the translation laws hold to rounding error by construction.  A
     non-finite argument, or a value beyond the float range, raises
-    InvalidParameter.
+    InvalidParameter, and raises again on every later call, since only
+    finite values enter the context's memo.
     """
+    u = complex(u)
+    # equal finite floats have equal bits, except 0.0 == -0.0: a part that
+    # is zero keys on its sign as well
+    re, im = u.real, u.imag
+    key = u if re and im else (re, im, math.copysign(1.0, re),
+                               math.copysign(1.0, im))
+    memo = ctx._memo
+    value = memo.get(key)
+    if value is not None:
+        return value
+    m, n, u0 = _reduce(ctx.tau, u)
     try:
-        m, n, u0 = _reduce(ctx.tau, u)
-    except (ValueError, OverflowError):     # round() of a nan or an inf
-        raise InvalidParameter(
-            f"theta argument {complex(u)} is not finite") from None
-    try:
-        value = _frame_value(ctx, complex(u), m, n, u0)
+        value = _frame_value(ctx, u, m, n, u0)
     except OverflowError:
         value = complex(math.inf)
     if not cmath.isfinite(value):
         raise InvalidParameter(
-            f"theta({complex(u)} | tau = {ctx.tau}) overflows: its value is "
+            f"theta({u} | tau = {ctx.tau}) overflows: its value is "
             f"beyond the float range")
+    if len(memo) < _MEMO_LIMIT:
+        memo[key] = value
     return value
 
 
@@ -289,17 +319,22 @@ def is_on_lattice(ctx: ThetaContext, x: complex,
     """True if x lies within tol of the lattice point m + n*tau that theta's
     reduction subtracts from it.  No other point of Gamma is that close
     while 2*tol < Im(tau), which every ThetaContext guarantees for the
-    default tol."""
-    return abs(_reduce(ctx.tau, x)[2]) <= tol
+    default tol.  A non-finite x raises InvalidParameter."""
+    return abs(_reduce(ctx.tau, x, "lattice guard argument")[2]) <= tol
 
 
 def require_off_lattice(ctx: ThetaContext, x: complex, name: str) -> None:
-    """Raise DegenerateParameter if x sits on the period lattice Gamma.
+    """Raise DegenerateParameter if x sits on the period lattice Gamma, and
+    InvalidParameter if x is not finite.
 
     `name` identifies the offending theta argument in the diagnostic, e.g.
     "lambda + 3*hbar" or "v[3] - v[1]".
     """
-    if is_on_lattice(ctx, x):
+    try:
+        on_lattice = is_on_lattice(ctx, x)
+    except InvalidParameter:
+        raise InvalidParameter(f"{name} = {complex(x)} is not finite") from None
+    if on_lattice:
         raise DegenerateParameter(
             f"{name} = {complex(x)} lies on the lattice Gamma within "
             f"{_LATTICE_TOL:g} (theta denominator vanishes)")

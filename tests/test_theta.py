@@ -4,13 +4,15 @@ modular transforms and agreement with mpmath."""
 import cmath
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from dwbc import (DegenerateParameter, InvalidParameter, ThetaContext,
-                  is_on_lattice, require_off_lattice, theta,
+                  interpolate, is_on_lattice, require_off_lattice, theta,
                   theta_deriv_at_zero)
+from dwbc.theta import _MEMO_LIMIT
 
 from oracles import THETA_QUARTER_TAU_I, theta_mp, theta_series
 
@@ -239,3 +241,112 @@ def test_reduced_frame_needs_few_terms():
     for tau in list(MP_BOUNDS) + [0.001j, 1e-9j, 0.21 + 0.003j, 0.5 + 0.866j]:
         assert ThetaContext(tau).truncation_terms <= 7
     assert ThetaContext(0.02j).truncation_terms == 0
+
+
+def _bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("tau", [1j, 0.02j, 0.3 + 0.01j])
+def test_memo_returns_the_values_of_a_fresh_context(tau):
+    """One context fed repeats and lattice shifts (u, u + 1, u + tau) gives,
+    call for call, the value a fresh context gives."""
+    rng = np.random.default_rng(43)
+    base = [complex(u) for u in rng.uniform(-0.3, 0.3, 6)
+            + 1j * rng.uniform(-0.004, 0.004, 6)]
+    batch = [w for u in base for w in (u, u + 1, u + tau)]
+    batch += batch[::-1] + batch[:5]
+    ctx = ThetaContext(tau)
+    for u in batch:
+        assert theta(ctx, u) == theta(ThetaContext(tau), u), u
+    assert len(ctx._memo) == 3 * len(base)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.02j, 0.3 + 0.01j])
+def test_memo_keeps_signed_zeros_apart(tau):
+    """0.3 + 0j and 0.3 - 0j are equal dict keys; each sign variant still
+    returns the bits a fresh context returns, in either order."""
+    ctx = ThetaContext(tau)
+    variants = [complex(x, y) for x, y in
+                ((0.3, 0.0), (0.3, -0.0), (0.0, 0.002), (-0.0, 0.002),
+                 (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0))]
+    for u in variants + variants[::-1]:
+        assert _bits(theta(ctx, u)) == _bits(theta(ThetaContext(tau), u)), u
+    assert len(ctx._memo) == len(variants)
+
+
+@pytest.mark.parametrize("tau,u,match", [
+    (1j, complex(math.nan), "not finite"),
+    (1j, complex(math.inf, 0.2), "not finite"),
+    (1j, 0.31 + 50j, "overflows"),           # the CLI's --lambda 0.31+50i
+    (0.001j, 0.5, "overflows"),
+])
+def test_memo_repeats_errors(tau, u, match):
+    ctx = ThetaContext(tau)
+    for _ in range(2):
+        with pytest.raises(InvalidParameter, match=match):
+            theta(ctx, u)
+    assert not ctx._memo
+
+
+def test_memo_is_bounded():
+    ctx = ThetaContext(0.3 + 0.8j)
+    args = [complex(k / 7919, 0.01) for k in range(_MEMO_LIMIT + 300)]
+    values = [theta(ctx, u) for u in args]
+    assert len(ctx._memo) == _MEMO_LIMIT
+    for u, val in list(zip(args, values))[::97] + [(args[-1], values[-1])]:
+        assert theta(ctx, u) == val == theta(ThetaContext(0.3 + 0.8j), u)
+    assert len(ctx._memo) == _MEMO_LIMIT
+
+
+def test_used_context_equals_a_fresh_one():
+    ctx = ThetaContext(0.1j)
+    for u in (0.25, 0.31 + 0.07j, -0.48 + 0.2j):
+        theta(ctx, u)
+    fresh = ThetaContext(0.1j)
+    assert ctx._memo and not fresh._memo
+    assert ctx == fresh
+    assert hash(ctx) == hash(fresh)
+    assert repr(ctx) == repr(fresh)
+
+
+def test_memo_is_safe_to_share_between_threads():
+    """Threads evaluating one context at once, switching every microsecond,
+    all get the values a fresh context gives."""
+    tau = 0.05j
+    args = [complex(k / 200 - 0.3, 0.001 * (k % 7)) for k in range(120)]
+    expected = [theta(ThetaContext(tau), u) for u in args]
+    ctx = ThetaContext(tau)
+    results = {}
+
+    def work(k):
+        order = list(range(len(args)))[k::3] + list(range(len(args)))
+        results[k] = all(theta(ctx, args[i]) == expected[i] for i in order)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == dict.fromkeys(range(6), True)
+    assert len(ctx._memo) == len(args)
+
+
+NAN = complex(math.nan)
+
+
+@pytest.mark.parametrize("name,call", [
+    ("lattice guard argument", lambda: is_on_lattice(ThetaContext(1j), NAN)),
+    ("x", lambda: require_off_lattice(ThetaContext(1j), math.inf, "x")),
+    ("lattice guard argument",
+     lambda: interpolate(ThetaContext(1j), [NAN], [1], 0.2, 0.1)),
+], ids=["is_on_lattice-nan", "require_off_lattice-inf", "interpolate-nan"])
+def test_lattice_guards_refuse_non_finite_arguments(name, call):
+    with pytest.raises(InvalidParameter, match=rf"^{name}\b.* is not finite"):
+        call()

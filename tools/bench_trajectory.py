@@ -26,7 +26,9 @@ of the elliptic-deep-tau workload), 0.01i and 0.001i, over 400 fixed
 arguments in [-0.3, 0.3] + i[-0.05, 0.05], where |theta| stays in the
 float range down to tau = 0.001i.  Both trees' packages are loaded into
 one interpreter, under two names, and their passes alternate, 25 each;
-the least pass time is kept.  The host's speed drifts over minutes and
+the least pass time is kept.  Each pass builds a fresh ThetaContext
+before its clock starts, and the 400 arguments are distinct, so every
+timed call evaluates theta: a context's memo never answers one.  The host's speed drifts over minutes and
 only ever adds time, so alternating puts both trees through the same fast
 and slow spells.  A tau a tree refuses is recorded as {"error": message}
 instead of a time.
@@ -75,16 +77,17 @@ for name, src in trees.items():
     spec.loader.exec_module(pkgs[name])
 out = {name: {} for name in trees}
 for label, tau in taus.items():
-    ctxs = {}
+    live = {}
     for name, pkg in pkgs.items():
         try:
-            ctxs[name] = pkg.ThetaContext(tau)
+            pkg.ThetaContext(tau)
+            live[name] = pkg
         except pkg.DwbcError as exc:
             out[name][label] = {"error": f"{type(exc).__name__}: {exc}"}
-    best = dict.fromkeys(ctxs, float("inf"))
+    best = dict.fromkeys(live, float("inf"))
     for _ in range(passes):
-        for name, ctx in ctxs.items():
-            theta = pkgs[name].theta
+        for name, pkg in live.items():
+            ctx, theta = pkg.ThetaContext(tau), pkg.theta   # nothing memoized
             t0 = time.perf_counter()
             for u in pts:
                 theta(ctx, u)
