@@ -27,8 +27,6 @@ import numpy as np
 from .errors import DegenerateNodes, InvalidParameter
 from .theta import ThetaContext, is_on_lattice, require_off_lattice, theta
 
-_SAMPLE_SEED = 20107
-
 
 @dataclass(frozen=True)
 class Character:
@@ -60,18 +58,15 @@ def theta_product_poly(ctx: ThetaContext, zeros, u: complex) -> complex:
 
 
 def membership_residual(ctx: ThetaContext, f, chi: Character,
-                        samples: int = 25, rng=None) -> float:
+                        samples: int = 25, *, rng) -> float:
     """Largest normalised violation of the two translation laws over random
     sample points.
 
-    Points are drawn from the box Re in [-0.4, 0.4], Im in [-0.2, 0.2]
-    (fixed internal seed unless an rng is supplied); each residual is scaled
-    by max(1, |f(u)|).
+    Points are drawn by the generator rng from the box Re in [-0.4, 0.4],
+    Im in [-0.2, 0.2]; each residual is scaled by max(1, |f(u)|).
     """
     if samples < 1:
         raise InvalidParameter("samples must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(_SAMPLE_SEED)
     n = chi.degree_n
     tau = ctx.tau
     worst = 0.0

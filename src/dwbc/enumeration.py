@@ -53,46 +53,40 @@ def asm_number(n: int) -> int:
     return num // den
 
 
-def _column_branches(n, i, right, source, record=False):
+def _column_branches(n, i, right, source):
     """All consistent fillings of column i, given its right-edge signs.
 
     `right[j-1]` is the sign entering vertex (i, j) from the right, and
     source(i, j, k) is the weight matrix of vertex (i, j) at face offset k.
-    Returns a list of (column_weight, left_edge_signs, rows) where rows,
-    present only when record is set, lists (alpha, beta, gamma, delta) for
-    j = n..1.  The descent runs top-down through the (gamma, delta) that
-    _ADMITTED lists for each (alpha, beta); the bottom edge closes on -1.
+    Returns a list of (column_weight, left_edge_signs).  Rows are filled
+    top-down: each partial filling (weight, alpha, k, deltas) takes every
+    (gamma, delta) that _ADMITTED lists for its (alpha, beta), and the
+    bottom edge closes on -1.
     """
-    out = []
-
-    def descend(j, alpha, k, w, deltas, rows):
+    fills = [(1.0 + 0j, 1, n - i, ())]
+    for j in range(n, 0, -1):
         beta = right[j - 1]
-        for gamma, delta in _ADMITTED[alpha, beta]:
-            w2 = w * source(i, j, k).entry(alpha, beta, gamma, delta)
-            d2 = deltas + (delta,)
-            r2 = rows + ((alpha, beta, gamma, delta),) if record else rows
-            if j > 1:
-                descend(j - 1, gamma, k + delta, w2, d2, r2)
-            elif gamma == -1:
-                out.append((w2, d2[::-1], r2))
-
-    descend(n, 1, n - i, 1.0 + 0j, (), ())
-    return out
+        fills = [(w * source(i, j, k).entry(alpha, beta, gamma, delta),
+                  gamma, k + delta, deltas + (delta,))
+                 for w, alpha, k, deltas in fills
+                 for gamma, delta in _ADMITTED[alpha, beta]]
+    return [(w, deltas[::-1]) for w, gamma, _, deltas in fills if gamma == -1]
 
 
 def _weight_sum(n, source):
     """Sum of weight products over all domain-wall ice configurations.
 
     from_col(i, right), the summed weight of columns i..n given column i's
-    right-edge signs, is memoized on that state for this call only."""
-    target = (1,) * n
+    right-edge signs, is memoized on that state for this call only.  Every
+    column turns one more edge sign to +1 (sum(delta) = sum(beta) + 2), so
+    each path through the n columns ends on the all-plus left boundary."""
 
     @cache
     def from_col(i, right):
         if i > n:
-            return 1.0 + 0j if right == target else 0j
+            return 1.0 + 0j
         return sum(w * from_col(i + 1, lefts)
-                   for w, lefts, _ in _column_branches(n, i, right, source))
+                   for w, lefts in _column_branches(n, i, right, source))
 
     return from_col(1, (-1,) * n)
 
@@ -119,35 +113,34 @@ class SignConfig:
         return self.alpha.shape[0]
 
     @classmethod
-    def from_columns(cls, n, columns):
-        """Assemble from per-column rows ordered j = n..1 (as produced by the
-        column descent)."""
-        arrs = [np.zeros((n, n), dtype=np.int8) for _ in range(4)]
-        for i0, rows in enumerate(columns):
-            for pos, signs in enumerate(rows):
-                j0 = n - 1 - pos
-                for arr, s in zip(arrs, signs):
-                    arr[i0, j0] = s
-        return cls(*arrs)
+    def from_states(cls, states):
+        """Assemble from the n + 1 column states: states[i - 1] and states[i]
+        are the right- and left-edge signs of column i, row j at index j - 1.
+        Sign conservation fixes the rest: gamma_j = 1 + sum over l >= j of
+        (beta_l - delta_l), and alpha is gamma shifted up one row, +1 on top.
+        """
+        s = np.array(states, dtype=np.int8)
+        beta, delta = s[:-1], s[1:]
+        gamma = 1 + np.flip(np.cumsum(np.flip(beta - delta, 1), 1, np.int8), 1)
+        alpha = np.roll(gamma, -1, axis=1)
+        alpha[:, -1] = 1
+        return cls(alpha, beta, gamma, delta)
 
 
 def dwbc_sign_configs(n: int):
     """Yield every SignConfig compatible with domain-wall boundaries,
     in the deterministic depth-first order of the enumerator."""
     _check_cap(n, SIZE_CAP, "enumeration")
-    target = (1,) * n
 
-    def rec(i, right, acc):
+    def paths(i, states):
         if i > n:
-            if right == target:
-                yield acc
+            yield states
             return
-        for _, lefts, rows in _column_branches(n, i, right, lambda *_: _UNIT,
-                                                record=True):
-            yield from rec(i + 1, lefts, acc + (rows,))
+        for _, lefts in _column_branches(n, i, states[-1], lambda *_: _UNIT):
+            yield from paths(i + 1, states + (lefts,))
 
-    for cols in rec(1, (-1,) * n, ()):
-        yield SignConfig.from_columns(n, cols)
+    for states in paths(1, ((-1,) * n,)):
+        yield SignConfig.from_states(states)
 
 
 @dataclass(frozen=True)

@@ -330,11 +330,7 @@ def require_off_lattice(ctx: ThetaContext, x: complex, name: str) -> None:
     `name` identifies the offending theta argument in the diagnostic, e.g.
     "lambda + 3*hbar" or "v[3] - v[1]".
     """
-    try:
-        on_lattice = is_on_lattice(ctx, x)
-    except InvalidParameter:
-        raise InvalidParameter(f"{name} = {complex(x)} is not finite") from None
-    if on_lattice:
+    if abs(_reduce(ctx.tau, x, f"{name} =")[2]) <= _LATTICE_TOL:
         raise DegenerateParameter(
             f"{name} = {complex(x)} lies on the lattice Gamma within "
             f"{_LATTICE_TOL:g} (theta denominator vanishes)")
