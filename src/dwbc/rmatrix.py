@@ -273,7 +273,7 @@ def _embed3(r_of_sign, a: int, b: int, c: int) -> np.ndarray:
 
 
 def dybe_residual_from_builder(builder, x12, x13, x23) -> float:
-    """Max-norm residual of the dynamical Yang-Baxter equation on
+    """Relative max-norm residual of the dynamical Yang-Baxter equation on
     C^2 (x) C^2 (x) C^2 for R(x; k) = builder(x, k), where k in {-1, 0, +1}
     counts dynamical shift steps contributed by the spectator space.
 
@@ -282,7 +282,9 @@ def dybe_residual_from_builder(builder, x12, x13, x23) -> float:
         R12(x12; 0) R13(x13; H2) R23(x23; 0)
             = R23(x23; H1) R13(x13; 0) R12(x12; H3)
 
-    with Hk meaning the shift is driven by the sign on space k.
+    with Hk meaning the shift is driven by the sign on space k.  Returns
+    max|lhs - rhs| / max(1, largest |entry| of either side): at small
+    Im(tau) the weights, and so both sides, grow far past 1.
     """
 
     def r(x, k):
@@ -294,7 +296,8 @@ def dybe_residual_from_builder(builder, x12, x13, x23) -> float:
     rhs = (_embed3(lambda s: r(x23, s), 1, 2, 0)
            @ _embed3(lambda s: r(x13, 0), 0, 2, 1)
            @ _embed3(lambda s: r(x12, s), 0, 1, 2))
-    return float(np.max(np.abs(lhs - rhs)))
+    scale = max(1.0, np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+    return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
 def dybe_residual(ctx: ThetaContext, t1: complex, t2: complex, t3: complex,

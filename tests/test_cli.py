@@ -196,6 +196,13 @@ def test_exit_one_on_bad_n(capsys):
     assert "parameter error" in err
 
 
+def test_exit_one_on_list_length_mismatch(capsys):
+    code, out, err = run_main(capsys, "compute", "--z", "1", "2", "--w", "3")
+    assert code == 1
+    assert out == ""
+    assert "--w lists 1 values but n = 2" in err
+
+
 @pytest.mark.parametrize("argv", [("compute",), ("check", "dybe"), ("bench",)],
                          ids=["compute", "check", "bench"])
 def test_exit_one_on_negative_seed(capsys, argv):
@@ -410,6 +417,24 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "--n", "3"),
+    ("compute", "--model", "sos-elliptic", "--n", "3"),
+    ("check", "all", "--n", "2"),
+    ("bench", "--n", "3"),
+], ids=["compute", "compute-elliptic", "check", "bench"])
+def test_commands_load_no_test_dependency(argv):
+    # scipy, mpmath, sympy and jsonschema are not runtime dependencies
+    proc = run_python("-c", "import sys, dwbc.cli\n"
+                      "code = dwbc.cli.main(sys.argv[1:])\n"
+                      "print(sorted({m.split('.')[0] for m in sys.modules}\n"
+                      "             & {'scipy', 'mpmath', 'sympy', "
+                      "'jsonschema'}))\n"
+                      "sys.exit(code)", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_all_names_resolve():
     assert "TrigParams" in dwbc.__all__
     assert [name for name in dwbc.__all__ if not hasattr(dwbc, name)] == []
@@ -516,3 +541,23 @@ def test_bench_reports_terms_and_crossover(capsys):
     enum_terms = {row["n"]: row["terms"] for row in rows
                   if row["route"] == "enumerate"}
     assert enum_terms == {1: 1, 2: 2, 3: 7, 4: 42}
+
+
+@pytest.mark.parametrize("tau", ["0.05i", "0.02i"])
+def test_check_dybe_passes_at_small_tau(capsys, tau):
+    # the weights grow far past 1 here; the residual is relative to them
+    code, out, _ = run_main(capsys, "check", "dybe", "--tau", tau)
+    assert code == 0
+    assert "FAIL" not in out
+
+
+def test_bench_text_format(capsys):
+    code, out, _ = run_main(capsys, "bench", "--n", "3")
+    assert code == 0
+    lines = out.splitlines()
+    header = lines.index(f"{'n':>3}  {'route':<12}{'terms':>10}  "
+                         f"{'time_ms':>10}  value")
+    rows = [line.split()[:2] for line in lines[header + 1:header + 13]]
+    assert rows == [[str(n), route] for n in (1, 2, 3) for route in
+                    ("enumerate", "transfer", "determinant", "sum")]
+    assert lines[header + 13].startswith("crossover: ")

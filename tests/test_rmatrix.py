@@ -126,6 +126,26 @@ def test_dybe_detects_perturbed_weight(ctx):
     assert res > 1e-4
 
 
+def test_dybe_residual_is_relative_at_small_tau():
+    """At tau = 0.05i the weights reach ~1e7 and both sides of the equation
+    far more; the residual is relative to them, so the exact weights pass
+    and a 1e-6 error in one weight still shows."""
+    context = ThetaContext(0.05j)
+    lam, hbar = 0.31, 0.17
+    t1, t2, t3 = 0.786 - 0.032j, 0.127 + 0.036j, 0.684 + 0.004j
+
+    def exact(x, k):
+        return sos_rmatrix(context, x, lam + k * hbar, hbar)
+
+    def perturbed(x, k):
+        r = exact(x, k)
+        return r._replace(a=r.a * (1 + 1e-6))
+
+    assert dybe_residual_from_builder(exact, t1 - t2, t1 - t3, t2 - t3) < 1e-13
+    assert dybe_residual_from_builder(perturbed, t1 - t2, t1 - t3,
+                                      t2 - t3) > 1e-9
+
+
 def test_elliptic_to_trig_entrywise():
     """tau -> i*inf sends the elliptic matrix to the dynamical trig one."""
     ctx_far = ThetaContext(40j)
