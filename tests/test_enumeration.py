@@ -166,6 +166,9 @@ def test_sign_config_boundaries_and_ice_rule():
             assert np.array_equal(cfg.delta[:-1, :], cfg.beta[1:, :])
             # sign conservation at every vertex
             assert np.array_equal(cfg.alpha + cfg.beta, cfg.gamma + cfg.delta)
+            # alpha and gamma are derived from the states: still edge signs
+            assert np.all(np.abs(cfg.alpha) == 1)
+            assert np.all(np.abs(cfg.gamma) == 1)
         assert count == asm_number(n)
 
 
