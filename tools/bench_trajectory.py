@@ -25,13 +25,17 @@ Theta's cost per call is timed at tau = i, 0.1i, 0.05i, 0.02i (every tau
 of the elliptic-deep-tau workload), 0.01i and 0.001i, over 400 fixed
 arguments in [-0.3, 0.3] + i[-0.05, 0.05], where |theta| stays in the
 float range down to tau = 0.001i.  Both trees' packages are loaded into
-one interpreter, under two names, and their passes alternate, 25 each;
-the least pass time is kept.  Each pass builds a fresh ThetaContext
-before its clock starts, and the 400 arguments are distinct, so every
-timed call evaluates theta: a context's memo never answers one.  The host's speed drifts over minutes and
-only ever adds time, so alternating puts both trees through the same fast
-and slow spells.  A tau a tree refuses is recorded as {"error": message}
-instead of a time.
+one interpreter, under two names, and each of 25 passes times every tree
+once, the tree that goes first taking turns from pass to pass.  Each pass
+builds a fresh ThetaContext before its clock starts, and the 400
+arguments are distinct, so every timed call evaluates theta: a context's
+memo never answers one.  The host's speed drifts over minutes, so
+alternating puts both trees through the same fast and slow spells, and
+the spread of the passes shows how far a ratio can be trusted:
+"theta_us_per_call" holds the median pass per tree and tau, and
+"theta_us_per_call_quartiles" its lower and upper quartiles, all in µs
+per call.  A tau a tree refuses is recorded as {"error": message} in
+place of the median and has no quartiles.
 
 Cold start is the wall time of `python -m dwbc compute --n 1` in a fresh
 interpreter with the tree's `src` as PYTHONPATH: 5 runs per tree, the
@@ -58,10 +62,11 @@ COUNT_UNITS = ("count/req", "computed/req")
 THETA_PASSES = 25
 COLD_RUNS = 5
 
-# argv: PASSES, then NAME=SRC pairs; prints {NAME: {tau: us per call, or
-# {"error": message}}}, timing the trees' passes in turn.
+# argv: PASSES, then NAME=SRC pairs; prints {NAME: {tau: {"median": us,
+# "quartiles": [us, us]} per call, or {"error": message}}}, timing the trees
+# in turn, each pass starting one tree later than the pass before.
 THETA_PROBE = """
-import importlib.util, json, sys, time
+import importlib.util, json, statistics, sys, time
 import numpy as np
 passes, trees = int(sys.argv[1]), dict(a.split("=", 1) for a in sys.argv[2:])
 taus = {"i": 1j, "0.1i": 0.1j, "0.05i": 0.05j, "0.02i": 0.02j, "0.01i": 0.01j,
@@ -84,16 +89,19 @@ for label, tau in taus.items():
             live[name] = pkg
         except pkg.DwbcError as exc:
             out[name][label] = {"error": f"{type(exc).__name__}: {exc}"}
-    best = dict.fromkeys(live, float("inf"))
-    for _ in range(passes):
-        for name, pkg in live.items():
-            ctx, theta = pkg.ThetaContext(tau), pkg.theta   # nothing memoized
-            t0 = time.perf_counter()
+    names = list(live)
+    times = {name: [] for name in names}
+    for k in range(passes):
+        for name in names[k % len(names):] + names[:k % len(names)]:
+            ctx, theta = live[name].ThetaContext(tau), live[name].theta
+            t0 = time.perf_counter()                    # nothing memoized
             for u in pts:
                 theta(ctx, u)
-            best[name] = min(best[name], time.perf_counter() - t0)
-    for name, seconds in best.items():
-        out[name][label] = 1e6 * seconds / len(pts)
+            times[name].append(1e6 * (time.perf_counter() - t0) / len(pts))
+    for name, us in times.items():
+        q1, _, q3 = statistics.quantiles(us, n=4)
+        out[name][label] = {"median": statistics.median(us),
+                            "quartiles": [q1, q3]}
 print(json.dumps(out))
 """
 
@@ -209,8 +217,13 @@ def main(argv=None) -> int:
         "end_to_end": {m["name"]: m["unit"] for m in spec["end_to_end"]},
         "workloads": workloads,
         "per_layer": per_layer,
-        "theta_us_per_call": {tau: {side: theta_us[side][tau] for side in trees}
-                              for tau in theta_us["change"]},
+        "theta_us_per_call": {
+            tau: {side: theta_us[side][tau].get("median", theta_us[side][tau])
+                  for side in trees} for tau in theta_us["change"]},
+        "theta_us_per_call_quartiles": {
+            tau: {side: theta_us[side][tau]["quartiles"] for side in trees
+                  if "quartiles" in theta_us[side][tau]}
+            for tau in theta_us["change"]},
         "cold_start_s": cold_start_s,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
