@@ -26,7 +26,7 @@ of the elliptic-deep-tau workload), 0.01i and 0.001i, over 400 fixed
 arguments in [-0.3, 0.3] + i[-0.05, 0.05], where |theta| stays in the
 float range down to tau = 0.001i.  Both trees' packages are loaded into
 one interpreter, under two names, and each of 25 passes times every tree
-once, the tree that goes first taking turns from pass to pass.  Each pass
+once, each pass in the reverse order of the pass before.  Each pass
 builds a fresh ThetaContext before its clock starts, and the 400
 arguments are distinct, so every timed call evaluates theta: a context's
 memo never answers one.  The host's speed drifts over minutes, so
@@ -64,7 +64,7 @@ COLD_RUNS = 5
 
 # argv: PASSES, then NAME=SRC pairs; prints {NAME: {tau: {"median": us,
 # "quartiles": [us, us]} per call, or {"error": message}}}, timing the trees
-# in turn, each pass starting one tree later than the pass before.
+# in turn, each pass in the reverse order of the pass before.
 THETA_PROBE = """
 import importlib.util, json, statistics, sys, time
 import numpy as np
@@ -92,7 +92,7 @@ for label, tau in taus.items():
     names = list(live)
     times = {name: [] for name in names}
     for k in range(passes):
-        for name in names[k % len(names):] + names[:k % len(names)]:
+        for name in names[::-1] if k % 2 else names:
             ctx, theta = live[name].ThetaContext(tau), live[name].theta
             t0 = time.perf_counter()                    # nothing memoized
             for u in pts:
