@@ -4,7 +4,7 @@ another: a column sum over ice configurations memoized on (column,
 right-edge signs), column-transfer-matrix contraction, permutation-sum
 closed forms and the Izergin determinant."""
 
-from .closedform import FACTORIAL_CAP, recursion_factor, weight_kernel, \
+from .closedform import SUM_CAP, recursion_factor, weight_kernel, \
     z_6v_sum, z_izergin, z_sos_elliptic, z_trig_sos
 from .ellpoly import Character, addition_formula_residual, interpolate, \
     membership_residual, qj_interpolation_residual, theta_product_poly, \
@@ -26,8 +26,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Character", "DegenerateNodes", "DegenerateParameter", "DwbcError",
-    "EllipticParams", "FACTORIAL_CAP", "HeightField", "InvalidParameter",
-    "RMatrix4", "SIZE_CAP", "SignConfig", "SizeCap", "ThetaContext",
+    "EllipticParams", "HeightField", "InvalidParameter", "RMatrix4",
+    "SIZE_CAP", "SUM_CAP", "SignConfig", "SizeCap", "ThetaContext",
     "TrigParams",
     "addition_formula_residual", "asm_number", "column_transfer_6v",
     "column_transfer_trig", "column_transfer_z",

@@ -94,6 +94,68 @@ def perm_sum(n, term):
 
 
 # ---------------------------------------------------------------------------
+# Factor tables of the permutation sums, in mpmath at the caller's working
+# precision, from the exact float inputs.  Each builder returns (pref, G, F)
+# with
+#
+#   Z = pref * sum_sig prod_{inversions (a, b) of sig} G[a][b]
+#                    * prod_m prod F[m][sig(m)],
+#
+# G[a][b] given for a > b and F[m][j] the tuple of factors row m takes with
+# the parameter j: the defining formulas of the elliptic SOS, six-vertex
+# and trigonometric SOS sums, with every argument formed in mpmath, so a
+# float route can be measured against the same formula evaluated exactly.
+# ---------------------------------------------------------------------------
+
+
+def sos_elliptic_tables_mp(u, v, lam, hbar, tau):
+    import mpmath
+    u, v = [mpmath.mpc(x) for x in u], [mpmath.mpc(x) for x in v]
+    lam, hbar = mpmath.mpc(lam), mpmath.mpc(hbar)
+    n = len(u)
+
+    def th(x):
+        return theta_mp(x, tau)
+
+    pref = mpmath.mpc(1)
+    for k in range(n):
+        for m in range(k):
+            pref *= th(v[k] - v[m] - hbar) / th(v[k] - v[m])
+    G = [[th(v[a] - v[b] + hbar) / th(v[a] - v[b] - hbar) for b in range(a)]
+         for a in range(n)]
+    F = [[tuple(th(u[k] - v[j]) for k in range(m))
+          + tuple(th(u[k] - v[j] + hbar) for k in range(m + 1, n))
+          + (th(u[m] - v[j] - lam - m * hbar) * th(hbar)
+             / th(-lam - m * hbar),)
+          for j in range(n)] for m in range(n)]
+    return pref, G, F
+
+
+def trig_tables_mp(z, w, q, mu=None):
+    """The six-vertex tables, or with mu the trigonometric SOS tables."""
+    import mpmath
+    z, w, q = [mpmath.mpc(x) for x in z], [mpmath.mpc(x) for x in w], \
+        mpmath.mpc(q)
+    n = len(z)
+    pref = (q - 1 / q) ** n * mpmath.fprod(w) if mu is None else mpmath.mpc(1)
+    for i in range(n):
+        for j in range(i):
+            pref *= (w[i] / q - q * w[j]) / (w[i] - w[j])
+    G = [[(q * w[a] - w[b] / q) / (w[a] / q - q * w[b]) for b in range(a)]
+         for a in range(n)]
+    F = [[tuple(q * z[i] - w[j] / q for i in range(m + 1, n))
+          + tuple(z[i] - w[j] for i in range(m)) for j in range(n)]
+         for m in range(n)]
+    if mu is not None:
+        mu = mpmath.mpc(mu)
+        for m in range(n):
+            qk = mu * q ** (2 * m)
+            F[m] = [row + ((z[m] - w[j] * qk) * (q - 1 / q) / (1 - qk),)
+                    for j, row in enumerate(F[m])]
+    return pref, G, F
+
+
+# ---------------------------------------------------------------------------
 # Brute-force six-vertex DWBC partition function.
 #
 # Sums over all sign assignments of the interior edges, keeping only those

@@ -541,6 +541,10 @@ def test_bench_reports_terms_and_crossover(capsys):
     enum_terms = {row["n"]: row["terms"] for row in rows
                   if row["route"] == "enumerate"}
     assert enum_terms == {1: 1, 2: 2, 3: 7, 4: 42}
+    # the sum's subset DP takes n 2^(n-1) steps
+    sum_terms = {row["n"]: row["terms"] for row in rows
+                 if row["route"] == "sum"}
+    assert sum_terms == {1: 1, 2: 4, 3: 12, 4: 32}
 
 
 @pytest.mark.parametrize("tau", ["0.05i", "0.02i"])
