@@ -78,6 +78,7 @@ REPORT_SCHEMA = {
                     "time_ms": {"type": "number"},
                     "n": {"type": "integer"},
                     "terms": {"type": "number"},
+                    "rel_diff": _NUMBER,
                 },
             },
         },
@@ -437,9 +438,14 @@ def cmd_bench(cfg: argparse.Namespace):
     for n in range(1, cfg.n + 1):
         rng = np.random.default_rng([cfg.seed, n])
         a, b = _draw_box(rng, n), _draw_box(rng, n)
-        results += [{"route": name, "value": _cjson(val), "time_ms": ms,
-                     "n": n, "terms": _ROUTE_COST[name](n)}
-                    for name, val, ms in _run_routes(cfg, a, b, "all")]
+        runs = _run_routes(cfg, a, b, "all")
+        for name, val, ms in runs:
+            # the largest gap to the other routes at this n; np.max keeps NaN
+            gaps = [_rel(val, other) for o, other, _ in runs if o != name]
+            results.append({"route": name, "value": _cjson(val),
+                            "time_ms": ms, "n": n,
+                            "terms": _ROUTE_COST[name](n),
+                            "rel_diff": float(np.max(gaps, initial=0.0))})
     times = {(row["route"], row["n"]): row["time_ms"] for row in results}
     crossover = next((float(n) for n in range(1, cfg.n + 1)
                       if ("determinant", n) in times and ("sum", n) in times
@@ -478,11 +484,13 @@ def _render_text(report: dict, rows: list) -> str:
         head.insert(0, f"suite: {cfgd['suite']}")
     lines.append("  ".join(head))
     if report["command"] == "bench":
-        lines.append(f"{'n':>3}  {'route':<12}{'terms':>10}  {'time_ms':>10}  value")
+        lines.append(f"{'n':>3}  {'route':<12}{'terms':>10}  {'time_ms':>10}  "
+                     f"{'rel_diff':>9}  value")
         for row in report["results"]:
             lines.append(
                 f"{row['n']:>3}  {row['route']:<12}{row['terms']:>10}  "
-                f"{row['time_ms']:>10.3f}  {_fmt_value(row['value'])}")
+                f"{row['time_ms']:>10.3f}  {row['rel_diff']:>9.1e}  "
+                f"{_fmt_value(row['value'])}")
         cx = report["residuals"]["crossover_n"]
         lines.append(
             f"crossover: determinant overtakes sum at n = {int(cx)}" if cx > 0

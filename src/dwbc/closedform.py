@@ -209,8 +209,10 @@ def _trig_tables(p: TrigParams, front=lambda: 1.0 + 0j):
             pref *= (w[i] / q - q * w[j]) / (w[i] - w[j])
     G = [[(q * w[a] - w[b] / q) / (w[a] / q - q * w[b]) for b in range(a)]
          for a in range(n)]
-    F = [[tuple(q * z[i] - w[j] / q for i in range(m + 1, n))
-          + tuple(z[i] - w[j] for i in range(m)) for j in range(n)]
+    # F[m][j] is (q z_i - w_j/q for i > m) then (z_i - w_j for i < m)
+    above = [tuple(q * z[i] - w[j] / q for i in range(n)) for j in range(n)]
+    below = [tuple(z[i] - w[j] for i in range(n)) for j in range(n)]
+    F = [[above[j][m + 1:] + below[j][:m] for j in range(n)]
          for m in range(n)]
     return pref, G, F
 

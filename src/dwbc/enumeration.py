@@ -4,12 +4,14 @@ Two independent routes live here:
 
 * a sum over every ice configuration compatible with domain-wall
   boundary conditions, built column by column and memoized on the
-  (column, right-edge signs) state, so each state is expanded once: at
-  n = 6 it looks up 1,989 vertex weights, against 184,884 for a
-  depth-first walk of every configuration;
+  (column, right-edge signs) state, the signs held as a bit mask, so each
+  state is expanded once: at n = 6 it asks its weight source 1,324 times
+  and multiplies in 1,989 vertex weights, each read by its weight slot,
+  against 184,884 for a depth-first walk of every configuration;
 * contraction of a product of column transfer matrices, carrying the
   dynamical shift through spectator spaces, one batched matrix product
-  per (column, row) step.
+  per (column, row) step, with one weight matrix per face offset
+  (126 weight-source calls at n = 6).
 
 Both cost exponentially in n and are capped at n <= SIZE_CAP = 6.
 
@@ -29,19 +31,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 from math import factorial
 
 import numpy as np
 
 from .errors import _check_cap
-from .rmatrix import _ADMITTED, EllipticParams, RMatrix4, TrigParams, \
-    _matrices, _mu_shift, _require_mu, sixv_rmatrix, sos_rmatrix, \
-    trig_sos_rmatrix
+from .rmatrix import _ADMITTED, _SLOTS, EllipticParams, RMatrix4, \
+    TrigParams, _matrices, _mu_shift, _require_mu, sixv_rmatrix, \
+    sos_rmatrix, trig_sos_rmatrix
 from .theta import ThetaContext
 
 SIZE_CAP = 6
 _UNIT = RMatrix4(1, 1, 1, 1, 1)     # every admissible vertex weighs 1
+# (alpha, beta) -> ((gamma, delta, weight slot), ...), in _ADMITTED's order
+_BRANCHES = {ab: tuple(gd + (_SLOTS[ab + gd],) for gd in gds)
+             for ab, gds in _ADMITTED.items()}
 
 
 def asm_number(n: int) -> int:
@@ -56,28 +60,31 @@ def asm_number(n: int) -> int:
 def _column_branches(n, i, right, source):
     """All consistent fillings of column i, given its right-edge signs.
 
-    `right[j-1]` is the sign entering vertex (i, j) from the right, and
-    source(i, j, k) is the weight matrix of vertex (i, j) at face offset k.
-    Returns a list of (column_weight, left_edge_signs).  Rows are filled
-    top-down: each partial filling (weight, alpha, k, deltas) takes every
-    (gamma, delta) that _ADMITTED lists for its (alpha, beta), and the
-    bottom edge closes on -1.
+    Column states are bit masks: bit j-1 of `right` is set when the sign
+    entering vertex (i, j) from the right is +1.  source(i, j, k) is the
+    RMatrix4 of vertex (i, j) at face offset k.  Returns a list of
+    (column_weight, left_edge_mask).  Rows are filled top-down: each partial
+    filling (weight, alpha, k, lefts) reads its vertex's weights once and
+    takes every (gamma, delta, slot) that _BRANCHES lists for its
+    (alpha, beta), and the bottom edge closes on -1.
     """
-    fills = [(1.0 + 0j, 1, n - i, ())]
+    fills = [(1.0 + 0j, 1, n - i, 0)]
     for j in range(n, 0, -1):
-        beta = right[j - 1]
-        fills = [(w * source(i, j, k).entry(alpha, beta, gamma, delta),
-                  gamma, k + delta, deltas + (delta,))
-                 for w, alpha, k, deltas in fills
-                 for gamma, delta in _ADMITTED[alpha, beta]]
-    return [(w, deltas[::-1]) for w, gamma, _, deltas in fills if gamma == -1]
+        bit = 1 << (j - 1)
+        beta = 1 if right & bit else -1
+        fills = [(w * r[slot], gamma, k + delta,
+                  lefts | bit if delta > 0 else lefts)
+                 for w, alpha, k, lefts in fills
+                 for r in (source(i, j, k),)
+                 for gamma, delta, slot in _BRANCHES[alpha, beta]]
+    return [(w, lefts) for w, gamma, _, lefts in fills if gamma == -1]
 
 
 def _weight_sum(n, source):
     """Sum of weight products over all domain-wall ice configurations.
 
     from_col(i, right), the summed weight of columns i..n given column i's
-    right-edge signs, is memoized on that state for this call only.  Every
+    right-edge mask, is memoized on that state for this call only.  Every
     column turns one more edge sign to +1 (sum(delta) = sum(beta) + 2), so
     each path through the n columns ends on the all-plus left boundary."""
 
@@ -88,7 +95,7 @@ def _weight_sum(n, source):
         return sum(w * from_col(i + 1, lefts)
                    for w, lefts in _column_branches(n, i, right, source))
 
-    return from_col(1, (-1,) * n)
+    return from_col(1, 0)
 
 
 def count_configurations(n: int) -> int:
@@ -132,15 +139,16 @@ def dwbc_sign_configs(n: int):
     in the deterministic depth-first order of the enumerator."""
     _check_cap(n, SIZE_CAP, "enumeration")
 
-    def paths(i, states):
+    def paths(i, masks):
         if i > n:
-            yield states
+            yield masks
             return
-        for _, lefts in _column_branches(n, i, states[-1], lambda *_: _UNIT):
-            yield from paths(i + 1, states + (lefts,))
+        for _, lefts in _column_branches(n, i, masks[-1], lambda *_: _UNIT):
+            yield from paths(i + 1, masks + (lefts,))
 
-    for states in paths(1, ((-1,) * n,)):
-        yield SignConfig.from_states(states)
+    for masks in paths(1, (0,)):
+        yield SignConfig.from_states(
+            [[1 if m >> j & 1 else -1 for j in range(n)] for m in masks])
 
 
 @dataclass(frozen=True)
@@ -253,15 +261,17 @@ def _transfer_contract(n: int, rfn) -> complex:
     # Quantum state vector over spaces (n, n-1, ..., 1); index 0 means +1.
     vec = np.zeros((2,) * n, dtype=complex)
     vec[(0,) * n] = 1.0
+    # minus[p]: the -1 signs in spectator sign pattern p, its set bits
+    minus = np.array([bin(p).count("1") for p in range(2 ** (n - 1))])
     for i in range(n, 0, -1):
         w = np.zeros((2,) + vec.shape, dtype=complex)
         w[1] = vec                              # auxiliary enters with sign -1
         base_k = n - i
         for j in range(1, n + 1):
             s = n - j                           # spaces l > j, still in input state
-            # one vertex matrix per sign pattern of those spaces, in index order
-            g = _matrices([rfn(i, j, base_k + s - 2 * sum(bits))
-                           for bits in product((0, 1), repeat=s)])
+            # one vertex matrix per face offset, gathered for each sign pattern
+            g = _matrices([rfn(i, j, base_k + s - 2 * c)
+                           for c in range(s + 1)])[minus[:2 ** s]]
             ws = w.reshape(2, 2 ** s, 2, -1).swapaxes(0, 1)  # pattern first
             w = (g @ ws.reshape(2 ** s, 4, -1)).reshape(ws.shape) \
                 .swapaxes(0, 1).reshape(w.shape)

@@ -545,6 +545,20 @@ def test_bench_reports_terms_and_crossover(capsys):
     sum_terms = {row["n"]: row["terms"] for row in rows
                  if row["route"] == "sum"}
     assert sum_terms == {1: 1, 2: 4, 3: 12, 4: 32}
+    jsonschema.validate(rep, REPORT_SCHEMA)
+    # each row's rel_diff is its largest relative gap to the other routes
+    for row in rows:
+        value = complex(*row["value"])
+        gaps = [rel_diff(value, complex(*other["value"])) for other in rows
+                if other["n"] == row["n"] and other is not row]
+        assert row["rel_diff"] == max(gaps)
+        assert row["rel_diff"] < 1e-9
+    # the sum's large gap at n = 9 is shown, not hidden; the verdict stays
+    code, rep, _ = run_json(capsys, "bench", "--n", "9", "--seed", "10")
+    assert code == 0 and rep["verdict"] == "pass"
+    last = {row["route"]: row["rel_diff"] for row in rep["results"]
+            if row["n"] == 9}
+    assert last["sum"] == last["determinant"] > 1e-3
 
 
 @pytest.mark.parametrize("tau", ["0.05i", "0.02i"])
@@ -560,7 +574,7 @@ def test_bench_text_format(capsys):
     assert code == 0
     lines = out.splitlines()
     header = lines.index(f"{'n':>3}  {'route':<12}{'terms':>10}  "
-                         f"{'time_ms':>10}  value")
+                         f"{'time_ms':>10}  {'rel_diff':>9}  value")
     rows = [line.split()[:2] for line in lines[header + 1:header + 13]]
     assert rows == [[str(n), route] for n in (1, 2, 3) for route in
                     ("enumerate", "transfer", "determinant", "sum")]

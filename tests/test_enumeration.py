@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from dwbc import (SIZE_CAP, SUM_CAP, DegenerateParameter,
-                  EllipticParams, HeightField, InvalidParameter, RMatrix4,
+                  EllipticParams, HeightField, InvalidParameter,
                   SignConfig, SizeCap, ThetaContext, TrigParams, asm_number,
                   column_transfer_6v, column_transfer_trig, column_transfer_z,
                   count_configurations, dwbc_sign_configs, enumerate_6v,
                   enumerate_sos, enumerate_trig_sos, sixv_rmatrix,
                   sos_rmatrix, theta, trig_sos_rmatrix, z_6v_sum,
                   z_izergin, z_sos_elliptic, z_trig_sos)
+from dwbc import enumeration
 
 from helpers import draw_multiplicative, draw_spectral, rel_diff
 from oracles import sixv_bruteforce, transfer_contract_loop
@@ -113,21 +114,42 @@ def test_trig_transfer_routes_match_enumeration(rng, n):
     assert rel_diff(column_transfer_trig(pt), enumerate_trig_sos(pt)) < 1e-11
 
 
+def _count_sixv_source_calls(monkeypatch):
+    """Wrap every six-vertex weight source the routes build; returns the
+    one-element list that counts its calls."""
+    calls = [0]
+    make = enumeration._sixv_source
+
+    def counted_source(p, rmatrix_fn):
+        source = make(p, rmatrix_fn)
+
+        def counted(i, j, k):
+            calls[0] += 1
+            return source(i, j, k)
+        return counted
+
+    monkeypatch.setattr(enumeration, "_sixv_source", counted_source)
+    return calls
+
+
 def test_enumeration_expands_each_state_once(monkeypatch):
-    """The column recursion is memoized on (column, right-edge signs): the
-    six-vertex sum at n = 6 looks up 1,989 vertex weights, where a recursion
-    that re-expands a state for every path reaching it looks up 184,884."""
-    calls = 0
-    entry = RMatrix4.entry
-
-    def counted(self, *signs):
-        nonlocal calls
-        calls += 1
-        return entry(self, *signs)
-
-    monkeypatch.setattr(RMatrix4, "entry", counted)
+    """The column recursion is memoized on (column, right-edge signs), and
+    each partial filling reads its vertex once: the six-vertex sum at n = 6
+    asks its weight source 1,324 times, where a recursion that re-expands a
+    state for every path reaching it looks up 184,884 vertex weights."""
+    calls = _count_sixv_source_calls(monkeypatch)
     enumerate_6v(_trig(6))
-    assert 0 < calls <= 2000
+    assert 0 < calls[0] <= 2000     # the memo
+    assert calls[0] == 1324         # one read per partial filling and row
+
+
+def test_transfer_asks_one_matrix_per_face_offset(monkeypatch):
+    """Step (i, j) of the contraction needs the s + 1 face offsets of its
+    s = n - j spectator spaces, not one matrix per sign pattern: at n = 6
+    that is n * n(n+1)/2 = 126 weight-source calls, against 378."""
+    calls = _count_sixv_source_calls(monkeypatch)
+    column_transfer_6v(_trig(6))
+    assert calls[0] == 6 * 21
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
