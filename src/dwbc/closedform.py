@@ -6,13 +6,14 @@ trigonometric sums for the dynamical SOS and six-vertex models, and the
 Izergin determinant for the six-vertex model.  Each sum builds its factor
 tables once and hands them to `_perm_sum`, a dynamic program over subsets
 (n 2^(n-1) steps in place of n! terms) in a fixed order, so sums are
-reproducible bit for bit.
+reproducible bit for bit.  The DP's walk, `_plan(n)`, is built once per n.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from functools import cache
 
 import numpy as np
 
@@ -28,29 +29,38 @@ SUM_CAP = 9
 _COND_WARN = 1e12
 
 
+@cache
+def _plan(n):
+    """_perm_sum's weight-free walk at size n: (S, |S|, moves) for each bit
+    set S below the full set, in increasing order, one move (j, members of
+    S above j in increasing order, S | 1 << j) per j not in S."""
+    return tuple((S, S.bit_count(), tuple(
+        (j, tuple(a for a in range(j + 1, n) if S >> a & 1), S | 1 << j)
+        for j in range(n) if not S >> j & 1)) for S in range((1 << n) - 1))
+
+
 def _perm_sum(G, F):
     """Sum over all permutations sigma of range(n) of
 
         prod_{inversions (a, b) of sigma} G[a][b] * prod_m prod F[m][sigma(m)]
 
     where G[a][b] is given for a > b only and F[m][j] is the tuple of
-    factors row m takes with the parameter j.  sums[S] sums the partial
-    terms with the values of the bit set S at positions 0..|S|-1; adding j
-    multiplies by G[a][j] for a in S above j, then by each f in F[|S|][j].
+    factors row m takes with the parameter j.  Along _plan(n), sums[S] sums
+    the partial terms with the values of the bit set S at positions 0..|S|-1;
+    adding j multiplies by G[a][j] for a in S above j, then by each f in
+    F[|S|][j].
     """
     n = len(F)
     sums = [1.0 + 0j] + [0j] * ((1 << n) - 1)
-    for S in range((1 << n) - 1):
-        row, part = F[S.bit_count()], sums[S]
-        for j in range(n):
-            if not S >> j & 1:
-                t = part
-                for a in range(j + 1, n):
-                    if S >> a & 1:
-                        t *= G[a][j]
-                for f in row[j]:
-                    t *= f
-                sums[S | 1 << j] += t
+    for S, m, moves in _plan(n):
+        row, part = F[m], sums[S]
+        for j, above, T in moves:
+            t = part
+            for a in above:
+                t *= G[a][j]
+            for f in row[j]:
+                t *= f
+            sums[T] += t
     return sums[-1]
 
 
@@ -89,8 +99,10 @@ def z_sos_elliptic(ctx: ThetaContext, p: EllipticParams) -> complex:
     tminus = [theta(ctx, -lam - m * hbar) for m in range(n)]
     G = [[theta(ctx, v[a] - v[b] + hbar) / theta(ctx, v[a] - v[b] - hbar)
           for b in range(a)] for a in range(n)]
-    F = [[tuple(theta(ctx, u[k] - v[j]) for k in range(m))
-          + tuple(theta(ctx, u[k] - v[j] + hbar) for k in range(m + 1, n))
+    lo = [tuple(theta(ctx, u[k] - v[j]) for k in range(n)) for j in range(n)]
+    hi = [tuple(theta(ctx, u[k] - v[j] + hbar) for k in range(n))
+          for j in range(n)]
+    F = [[lo[j][:m] + hi[j][m + 1:]
           + (theta(ctx, u[m] - v[j] - lam - m * hbar) * th_h / tminus[m],)
           for j in range(n)] for m in range(n)]
     return pref * _perm_sum(G, F)

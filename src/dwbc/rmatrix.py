@@ -29,7 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateParameter, InvalidParameter, _check_finite
-from .theta import _LATTICE_TOL, ThetaContext, require_off_lattice, theta
+from .theta import _LATTICE_TOL, _MEMO_LIMIT, ThetaContext, \
+    require_off_lattice, theta
 
 # weight slot of each matrix entry: 0 a, 1 b, 2 bbar, 3 c, 4 cbar, 5 zero
 _LAYOUT = ((0, 5, 5, 5),
@@ -108,12 +109,17 @@ class EllipticParams:
         Face heights across a domain-wall lattice shift lam by integer
         multiples of hbar bounded by 2n, so lam + k*hbar must stay off the
         lattice for all |k| <= 2n, and hbar itself must be off-lattice
-        (else every c-weight vanishes identically).
+        (else every c-weight vanishes identically).  A call at an n no
+        larger than one this (lam, hbar) passed at on ctx returns at once.
         """
+        if ctx._checked.get((self.lam, self.hbar), 0) >= self.n:
+            return
         require_off_lattice(ctx, self.hbar, "hbar")
         for k in range(-2 * self.n, 2 * self.n + 1):
             require_off_lattice(ctx, self.lam + k * self.hbar,
                                 f"lambda + {k}*hbar")
+        if len(ctx._checked) < _MEMO_LIMIT:
+            ctx._checked[self.lam, self.hbar] = self.n
 
 
 @dataclass(frozen=True)

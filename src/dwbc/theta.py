@@ -69,16 +69,16 @@ _MEMO_LIMIT = 4096      # values one context remembers; later ones are not store
 class ThetaContext:
     """Modular parameter with its reduced frame, and a memo of theta's values.
 
-    The frame is fixed at construction.  The memo maps the bits of each
-    argument theta has evaluated on this context (both parts and the signs
-    of their zeros) to the finite value it returned.  It lives as long as
-    the context (the CLI builds one per request), holds at most
-    _MEMO_LIMIT = 4,096 values (past that, theta computes without storing)
-    and takes no part in equality, hash or repr.  A context can be shared
-    freely between threads: a dict get or set is atomic under the
-    interpreter lock, and a stored value is the one any thread would
-    compute, so a race costs at most a repeated evaluation or a few entries
-    past the limit.
+    The frame is fixed at construction.  A context remembers, for as long
+    as it lives (the CLI builds one per request), in two dicts of at most
+    _MEMO_LIMIT = 4,096 entries that take no part in equality, hash or
+    repr: `_memo`, the finite value theta returned for the bits of each
+    argument (both parts and the signs of their zeros), and `_checked`, the
+    largest n at which each (lam, hbar) passed EllipticParams.validate (a
+    failure is never stored).  A context can be shared freely between
+    threads: a dict get or set is atomic under the interpreter lock, and a
+    stored entry is the one any thread would compute, so a race costs at
+    most a repeated evaluation or check, or a few entries past the limit.
 
     Construction fails unless Im(tau) > 2 * 1e-10, the lattice guard's
     tolerance: below that, two lattice points could both lie within the
@@ -92,6 +92,8 @@ class ThetaContext:
     _frame: tuple = field(init=False, repr=False, compare=False)
     _memo: dict = field(init=False, repr=False, compare=False,
                         default_factory=dict)
+    _checked: dict = field(init=False, repr=False, compare=False,
+                           default_factory=dict)
 
     def __post_init__(self):
         tau = complex(self.tau)

@@ -10,7 +10,7 @@ from dwbc import (DegenerateParameter, EllipticParams, SizeCap, ThetaContext,
 
 from dwbc.closedform import _perm_sum
 from helpers import draw_multiplicative, draw_spectral, rel_diff
-from oracles import (inversions, perm_sum, sixv_bruteforce,
+from oracles import (inversions, perm_sum, perm_sum_loop, sixv_bruteforce,
                      sos_elliptic_tables_mp, trig_tables_mp)
 
 # Pinned regression values, produced by two independently implemented routes
@@ -201,6 +201,30 @@ def test_perm_sum_matches_the_oracle_within_the_cancellation_bound(rng, n):
 
     err = abs(_perm_sum(G, F) - perm_sum(n, term))
     assert err <= cancellation_bound(n, G, F)
+    # the planned walk changes no bit of the plain subset-DP loop
+    assert _perm_sum(G, F) == perm_sum_loop(G, F)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_elliptic_pair_tables_change_no_bit(ctx_generic, rng, n):
+    """z_sos_elliptic slices its F tuples from per-(k, j) theta tables; the
+    value equals the plain loop over F built term by term."""
+    ctx = ctx_generic
+    u, v = draw_spectral(rng, n), draw_spectral(rng, n)
+    lam, hbar = 0.31, 0.17
+    pref = 1.0 + 0j
+    for k in range(n):
+        for m in range(k):
+            pref *= theta(ctx, v[k] - v[m] - hbar) / theta(ctx, v[k] - v[m])
+    G = [[theta(ctx, v[a] - v[b] + hbar) / theta(ctx, v[a] - v[b] - hbar)
+          for b in range(a)] for a in range(n)]
+    F = [[tuple(theta(ctx, u[k] - v[j]) for k in range(m))
+          + tuple(theta(ctx, u[k] - v[j] + hbar) for k in range(m + 1, n))
+          + (theta(ctx, u[m] - v[j] - lam - m * hbar) * theta(ctx, hbar)
+             / theta(ctx, -lam - m * hbar),)
+          for j in range(n)] for m in range(n)]
+    got = z_sos_elliptic(ctx, EllipticParams(u, v, lam, hbar))
+    assert got == pref * perm_sum_loop(G, F)
 
 
 @pytest.mark.parametrize("model", ["six-vertex", "sos-trig", "sos-elliptic"])

@@ -12,7 +12,7 @@ from dwbc import (DegenerateParameter, EllipticParams, InvalidParameter,
                   ThetaContext, TrigParams, dybe_residual, dybe_residual_trig,
                   enumerate_sos, gauge_rescale, sixv_rmatrix, sos_rmatrix,
                   theta, trig_nondyn_rmatrix, trig_sos_rmatrix,
-                  ybe_residual_nondyn, z_izergin)
+                  ybe_residual_nondyn, z_izergin, z_sos_elliptic)
 from dwbc.rmatrix import _ADMITTED, _SLOTS, dybe_residual_from_builder
 
 from helpers import draw_spectral
@@ -194,6 +194,43 @@ def test_elliptic_params_validation(ctx):
         EllipticParams([0.4], [0.1], 1.0 - 2 * 0.17, 0.17).validate(ctx)
     with pytest.raises(InvalidParameter):
         EllipticParams([0.4, 0.5], [0.1], 0.31, 0.17)
+
+
+def test_dynamical_range_is_checked_once_per_context(monkeypatch):
+    """validate records on the context the largest n each (lam, hbar)
+    passed at; a failure is never recorded."""
+    import dwbc.closedform
+    import dwbc.rmatrix
+    calls = [0]
+    guard = dwbc.rmatrix.require_off_lattice
+
+    def counted(*args):
+        calls[0] += 1
+        return guard(*args)
+
+    for mod in (dwbc.rmatrix, dwbc.closedform):
+        monkeypatch.setattr(mod, "require_off_lattice", counted)
+
+    def guards(ctx, n, lam=0.31):
+        calls[0] = 0
+        z_sos_elliptic(ctx, EllipticParams([0.1 * k + 0.05 for k in range(n)],
+                                           [0.1 * k for k in range(n)],
+                                           lam, 0.17))
+        return calls[0]
+
+    ctx = ThetaContext(1j)
+    # hbar, lambda + k*hbar for |k| <= 2n, then the n(n-1)/2 v pairs
+    assert guards(ctx, 3) == 1 + 13 + 3
+    assert guards(ctx, 3) == 3
+    assert guards(ctx, 2) == 1
+    assert guards(ctx, 4) == 1 + 17 + 6
+    assert guards(ctx, 3) == 3
+    assert guards(ThetaContext(1j), 3) == 1 + 13 + 3
+    for _ in range(2):
+        with pytest.raises(DegenerateParameter,
+                           match=r"^lambda \+ 2\*hbar = "):
+            guards(ctx, 1, lam=1.0 - 2 * 0.17)
+        assert calls[0] == 1 + 5
 
 
 def test_trig_params_validation():
