@@ -99,12 +99,19 @@ def z_sos_elliptic(ctx: ThetaContext, p: EllipticParams) -> complex:
     tminus = [theta(ctx, -lam - m * hbar) for m in range(n)]
     G = [[theta(ctx, v[a] - v[b] + hbar) / theta(ctx, v[a] - v[b] - hbar)
           for b in range(a)] for a in range(n)]
-    lo = [tuple(theta(ctx, u[k] - v[j]) for k in range(n)) for j in range(n)]
-    hi = [tuple(theta(ctx, u[k] - v[j] + hbar) for k in range(n))
-          for j in range(n)]
-    F = [[lo[j][:m] + hi[j][m + 1:]
-          + (theta(ctx, u[m] - v[j] - lam - m * hbar) * th_h / tminus[m],)
-          for j in range(n)] for m in range(n)]
+    # lo[j] holds th(u_k - v_j) for k < m, hi[j] th(u_k - v_j + hbar) for
+    # k > 0, each evaluated once and in the order F's entries first need it,
+    # so an overflow names the argument that F built term by term would
+    lo, hi, F = [()] * n, [()] * n, [[] for _ in range(n)]
+    for m, row in enumerate(F):
+        for j in range(n):
+            if m:
+                lo[j] += (theta(ctx, u[m - 1] - v[j]),)
+            else:
+                hi[j] = tuple(theta(ctx, u[k] - v[j] + hbar)
+                              for k in range(1, n))
+            row.append(lo[j] + hi[j][m:] + (
+                theta(ctx, u[m] - v[j] - lam - m * hbar) * th_h / tminus[m],))
     return pref * _perm_sum(G, F)
 
 

@@ -5,10 +5,9 @@ Two independent routes live here:
 * a sum over every ice configuration compatible with domain-wall
   boundary conditions, built column by column and memoized on the
   (column, right-edge signs) state, the signs held as a bit mask, so each
-  state is expanded once, by a weight-free program built once per state:
-  at n = 6 it asks its weight source 636 times and multiplies in 1,989
-  vertex weights, each read by its weight slot, against 184,884 for a
-  depth-first walk of every configuration;
+  state is expanded once: at n = 6 it asks its weight source 1,324 times
+  and multiplies in 1,989 vertex weights, each read by its weight slot,
+  against 184,884 for a depth-first walk of every configuration;
 * contraction of a product of column transfer matrices, carrying the
   dynamical shift through spectator spaces, one batched matrix product
   per (column, row) step, with one weight matrix per face offset
@@ -43,6 +42,7 @@ from .rmatrix import _ADMITTED, _SLOTS, EllipticParams, RMatrix4, \
 from .theta import ThetaContext
 
 SIZE_CAP = 6
+_UNIT = RMatrix4(1, 1, 1, 1, 1)     # every admissible vertex weighs 1
 # (alpha, beta) -> ((gamma, delta, weight slot), ...), in _ADMITTED's order
 _BRANCHES = {ab: tuple(gd + (_SLOTS[ab + gd],) for gd in gds)
              for ab, gds in _ADMITTED.items()}
@@ -57,42 +57,27 @@ def asm_number(n: int) -> int:
     return num // den
 
 
-@cache
-def _column_program(n, i, right):
-    """Weight-free fillings of column i from its right-edge mask: per row j,
-    top-down, (j, the distinct face offsets reached, in order of first
-    appearance, one (parent, offset index, slot) per child), then the
-    (filling, left-edge mask) of each filling closing on -1 at the bottom."""
-    fills, rows = [(1, n - i, 0)], []       # fills: (alpha, k, lefts)
-    for j in range(n, 0, -1):
-        bit, offsets, children, grown = 1 << (j - 1), {}, [], []
-        beta = 1 if right & bit else -1
-        for p, (alpha, k, lefts) in enumerate(fills):
-            x = offsets.setdefault(k, len(offsets))
-            for gamma, delta, slot in _BRANCHES[alpha, beta]:
-                children.append((p, x, slot))
-                grown.append((gamma, k + delta, lefts | bit * (delta > 0)))
-        rows.append((j, tuple(offsets), tuple(children)))
-        fills = grown
-    return tuple(rows), tuple((f, lefts) for f, (gamma, _, lefts)
-                              in enumerate(fills) if gamma == -1)
-
-
 def _column_branches(n, i, right, source):
     """All consistent fillings of column i, given its right-edge signs.
 
     Column states are bit masks: bit j-1 of `right` is set when the sign
     entering vertex (i, j) from the right is +1.  source(i, j, k) is the
     RMatrix4 of vertex (i, j) at face offset k.  Returns a list of
-    (column_weight, left_edge_mask), its fillings in _column_program's
-    order; each row reads each distinct offset once, weights top-down.
+    (column_weight, left_edge_mask).  Rows are filled top-down: each partial
+    filling (weight, alpha, k, lefts) reads its vertex's weights once and
+    takes every (gamma, delta, slot) that _BRANCHES lists for its
+    (alpha, beta), and the bottom edge closes on -1.
     """
-    rows, closing = _column_program(n, i, right)
-    ws = [1.0 + 0j]
-    for j, offsets, children in rows:
-        rs = [source(i, j, k) for k in offsets]
-        ws = [ws[p] * rs[x][slot] for p, x, slot in children]
-    return [(ws[f], lefts) for f, lefts in closing]
+    fills = [(1.0 + 0j, 1, n - i, 0)]
+    for j in range(n, 0, -1):
+        bit = 1 << (j - 1)
+        beta = 1 if right & bit else -1
+        fills = [(w * r[slot], gamma, k + delta,
+                  lefts | bit if delta > 0 else lefts)
+                 for w, alpha, k, lefts in fills
+                 for r in (source(i, j, k),)
+                 for gamma, delta, slot in _BRANCHES[alpha, beta]]
+    return [(w, lefts) for w, gamma, _, lefts in fills if gamma == -1]
 
 
 def _weight_sum(n, source):
@@ -117,7 +102,7 @@ def count_configurations(n: int) -> int:
     """Number of ice configurations compatible with domain-wall boundaries
     (equals the alternating-sign-matrix number)."""
     _check_cap(n, SIZE_CAP, "enumeration")
-    total = _weight_sum(n, lambda *_: RMatrix4(1, 1, 1, 1, 1))  # all weigh 1
+    total = _weight_sum(n, lambda *_: _UNIT)
     return int(round(total.real))
 
 
@@ -158,7 +143,7 @@ def dwbc_sign_configs(n: int):
         if i > n:
             yield masks
             return
-        for _, lefts in _column_program(n, i, masks[-1])[1]:
+        for _, lefts in _column_branches(n, i, masks[-1], lambda *_: _UNIT):
             yield from paths(i + 1, masks + (lefts,))
 
     for masks in paths(1, (0,)):

@@ -29,8 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateParameter, InvalidParameter, _check_finite
-from .theta import _LATTICE_TOL, _MEMO_LIMIT, ThetaContext, \
-    require_off_lattice, theta
+from .theta import _LATTICE_TOL, ThetaContext, require_off_lattice, theta
 
 # weight slot of each matrix entry: 0 a, 1 b, 2 bbar, 3 c, 4 cbar, 5 zero
 _LAYOUT = ((0, 5, 5, 5),
@@ -112,14 +111,12 @@ class EllipticParams:
         (else every c-weight vanishes identically).  A call at an n no
         larger than one this (lam, hbar) passed at on ctx returns at once.
         """
-        if ctx._checked.get((self.lam, self.hbar), 0) >= self.n:
-            return
-        require_off_lattice(ctx, self.hbar, "hbar")
-        for k in range(-2 * self.n, 2 * self.n + 1):
-            require_off_lattice(ctx, self.lam + k * self.hbar,
-                                f"lambda + {k}*hbar")
-        if len(ctx._checked) < _MEMO_LIMIT:
-            ctx._checked[self.lam, self.hbar] = self.n
+        def check():
+            require_off_lattice(ctx, self.hbar, "hbar")
+            for k in range(-2 * self.n, 2 * self.n + 1):
+                require_off_lattice(ctx, self.lam + k * self.hbar,
+                                    f"lambda + {k}*hbar")
+        ctx._check_once((self.lam, self.hbar), self.n, check)
 
 
 @dataclass(frozen=True)

@@ -73,12 +73,13 @@ class ThetaContext:
     as it lives (the CLI builds one per request), in two dicts of at most
     _MEMO_LIMIT = 4,096 entries that take no part in equality, hash or
     repr: `_memo`, the finite value theta returned for the bits of each
-    argument (both parts and the signs of their zeros), and `_checked`, the
-    largest n at which each (lam, hbar) passed EllipticParams.validate (a
-    failure is never stored).  A context can be shared freely between
-    threads: a dict get or set is atomic under the interpreter lock, and a
-    stored entry is the one any thread would compute, so a race costs at
-    most a repeated evaluation or check, or a few entries past the limit.
+    argument (both parts and the signs of their zeros), and `_checked`,
+    kept by `_check_once`, the largest n at which each key passed its check
+    (EllipticParams.validate keys on (lam, hbar); a failure is never
+    stored).  A context can be shared freely between threads: a dict get or
+    set is atomic under the interpreter lock, and a stored entry is the one
+    any thread would compute, so a race costs at most a repeated evaluation
+    or check, or a few entries past the limit.
 
     Construction fails unless Im(tau) > 2 * 1e-10, the lattice guard's
     tolerance: below that, two lattice points could both lie within the
@@ -106,6 +107,14 @@ class ThetaContext:
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "truncation_terms", len(frame[3]))
         object.__setattr__(self, "_frame", frame)
+
+    def _check_once(self, key, n: int, check) -> None:
+        """Run check() unless `key` passed at an n no smaller on this
+        context; record n once it passes (a failure is never recorded)."""
+        if self._checked.get(key, 0) < n:
+            check()
+            if len(self._checked) < _MEMO_LIMIT:
+                self._checked[key] = n
 
 
 def _minus_i_pi_over(t: complex) -> tuple:

@@ -263,18 +263,12 @@ def transfer_contract_loop(n, rfn):
 
 
 # ---------------------------------------------------------------------------
-# Plain references for the two hot loops, written as one walk per call with
-# nothing computed ahead: the library must return the same bits.
+# Plain reference for the subset DP, one walk per call with nothing computed
+# ahead: the library's planned walk must return the same bits.
 #
-# perm_sum_loop(G, F) is the subset DP over bit sets S in increasing order:
-# adding the value j multiplies by G[a][j] for each a in S above j, then by
-# each factor of F[|S|][j].
-#
-# column_fills(n, i, right, source) fills column i top-down from its
-# right-edge mask, one list of partial fillings (weight, alpha, k, lefts)
-# per row, reading source(i, j, k) once per partial filling.  ICE_BRANCHES
-# lists, for each (alpha, beta), the (gamma, delta, weight slot) the ice
-# rule admits, slots numbered a, b, bbar, c, cbar.
+# perm_sum_loop(G, F) visits the bit sets S in increasing order: adding the
+# value j multiplies by G[a][j] for each a in S above j, then by each factor
+# of F[|S|][j].
 # ---------------------------------------------------------------------------
 
 
@@ -293,24 +287,3 @@ def perm_sum_loop(G, F):
                     t *= f
                 sums[S | 1 << j] += t
     return sums[-1]
-
-
-ICE_BRANCHES = {
-    (1, 1): ((1, 1, 0),),
-    (1, -1): ((1, -1, 1), (-1, 1, 4)),
-    (-1, 1): ((1, -1, 3), (-1, 1, 2)),
-    (-1, -1): ((-1, -1, 0),),
-}
-
-
-def column_fills(n, i, right, source):
-    fills = [(1.0 + 0j, 1, n - i, 0)]
-    for j in range(n, 0, -1):
-        bit = 1 << (j - 1)
-        beta = 1 if right & bit else -1
-        fills = [(w * r[slot], gamma, k + delta,
-                  lefts | bit if delta > 0 else lefts)
-                 for w, alpha, k, lefts in fills
-                 for r in (source(i, j, k),)
-                 for gamma, delta, slot in ICE_BRANCHES[alpha, beta]]
-    return [(w, lefts) for w, gamma, _, lefts in fills if gamma == -1]

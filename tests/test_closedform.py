@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from dwbc import (DegenerateParameter, EllipticParams, SizeCap, ThetaContext,
-                  TrigParams, enumerate_6v, enumerate_sos, enumerate_trig_sos,
-                  recursion_factor, theta, weight_kernel, z_6v_sum,
-                  z_izergin, z_sos_elliptic, z_trig_sos)
+from dwbc import (DegenerateParameter, EllipticParams, InvalidParameter,
+                  SizeCap, ThetaContext, TrigParams, enumerate_6v,
+                  enumerate_sos, enumerate_trig_sos, recursion_factor, theta,
+                  weight_kernel, z_6v_sum, z_izergin, z_sos_elliptic,
+                  z_trig_sos)
 
 from dwbc.closedform import _perm_sum
 from helpers import draw_multiplicative, draw_spectral, rel_diff
@@ -205,26 +206,70 @@ def test_perm_sum_matches_the_oracle_within_the_cancellation_bound(rng, n):
     assert _perm_sum(G, F) == perm_sum_loop(G, F)
 
 
+def _elliptic_term_by_term(ctx, u, v, lam, hbar):
+    """z_sos_elliptic's sum with each F[m][j] built term by term, in the
+    order of its factors, and summed by the plain subset-DP loop; an
+    InvalidParameter (a theta overflow) is returned as its message."""
+    n = len(u)
+    try:
+        pref = 1.0 + 0j
+        for k in range(n):
+            for m in range(k):
+                pref *= (theta(ctx, v[k] - v[m] - hbar)
+                         / theta(ctx, v[k] - v[m]))
+        th_h = theta(ctx, hbar)
+        tminus = [theta(ctx, -lam - m * hbar) for m in range(n)]
+        G = [[theta(ctx, v[a] - v[b] + hbar) / theta(ctx, v[a] - v[b] - hbar)
+              for b in range(a)] for a in range(n)]
+        F = [[tuple(theta(ctx, u[k] - v[j]) for k in range(m))
+              + tuple(theta(ctx, u[k] - v[j] + hbar) for k in range(m + 1, n))
+              + (theta(ctx, u[m] - v[j] - lam - m * hbar) * th_h
+                 / tminus[m],)
+              for j in range(n)] for m in range(n)]
+        return pref * perm_sum_loop(G, F)
+    except InvalidParameter as e:
+        return str(e)
+
+
+def _elliptic_outcome(ctx, u, v, lam, hbar):
+    try:
+        return z_sos_elliptic(ctx, EllipticParams(u, v, lam, hbar))
+    except InvalidParameter as e:
+        return str(e)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_elliptic_pair_tables_change_no_bit(ctx_generic, rng, n):
     """z_sos_elliptic slices its F tuples from per-(k, j) theta tables; the
     value equals the plain loop over F built term by term."""
-    ctx = ctx_generic
     u, v = draw_spectral(rng, n), draw_spectral(rng, n)
-    lam, hbar = 0.31, 0.17
-    pref = 1.0 + 0j
-    for k in range(n):
-        for m in range(k):
-            pref *= theta(ctx, v[k] - v[m] - hbar) / theta(ctx, v[k] - v[m])
-    G = [[theta(ctx, v[a] - v[b] + hbar) / theta(ctx, v[a] - v[b] - hbar)
-          for b in range(a)] for a in range(n)]
-    F = [[tuple(theta(ctx, u[k] - v[j]) for k in range(m))
-          + tuple(theta(ctx, u[k] - v[j] + hbar) for k in range(m + 1, n))
-          + (theta(ctx, u[m] - v[j] - lam - m * hbar) * theta(ctx, hbar)
-             / theta(ctx, -lam - m * hbar),)
-          for j in range(n)] for m in range(n)]
-    got = z_sos_elliptic(ctx, EllipticParams(u, v, lam, hbar))
-    assert got == pref * perm_sum_loop(G, F)
+    want = _elliptic_term_by_term(ctx_generic, u, v, 0.31, 0.17)
+    assert _elliptic_outcome(ctx_generic, u, v, 0.31, 0.17) == want
+
+
+def test_elliptic_pair_tables_evaluate_theta_as_term_by_term():
+    """At tau = 0.001i theta overflows for |Re u| above about 0.31.  The
+    pair tables evaluate no argument that F built term by term does not
+    (at n = 1, u - v = 0.33 and u - v + hbar = 0.5 are never needed), and
+    meet the arguments in the same order, so an input with several
+    overflowing arguments names the same one."""
+    u, v, lam, hbar = [0.33], [0.0], 0.31, 0.17
+    got = _elliptic_outcome(ThetaContext(0.001j), u, v, lam, hbar)
+    assert isinstance(got, complex)
+    assert got == _elliptic_term_by_term(ThetaContext(0.001j), u, v, lam,
+                                         hbar)
+
+    rng = np.random.default_rng(7)
+    overflows = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 4))
+        u = list(rng.uniform(-0.4, 0.4, n))
+        v = list(np.linspace(-0.4, 0.4, n) + rng.uniform(-0.05, 0.05, n))
+        want = _elliptic_term_by_term(ThetaContext(0.001j), u, v, 0.05, 0.03)
+        got = _elliptic_outcome(ThetaContext(0.001j), u, v, 0.05, 0.03)
+        assert repr(got) == repr(want)          # a nan equals no value
+        overflows += isinstance(want, str)
+    assert overflows >= 20     # the draws reach the overflowing arguments
 
 
 @pytest.mark.parametrize("model", ["six-vertex", "sos-trig", "sos-elliptic"])

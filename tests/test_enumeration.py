@@ -1,7 +1,5 @@
 """Exhaustive enumeration, transfer matrix, sign configs, height fields."""
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -14,10 +12,9 @@ from dwbc import (SIZE_CAP, SUM_CAP, DegenerateParameter,
                   sos_rmatrix, theta, trig_sos_rmatrix, z_6v_sum,
                   z_izergin, z_sos_elliptic, z_trig_sos)
 from dwbc import enumeration
-from dwbc.rmatrix import RMatrix4
 
 from helpers import draw_multiplicative, draw_spectral, rel_diff
-from oracles import column_fills, sixv_bruteforce, transfer_contract_loop
+from oracles import sixv_bruteforce, transfer_contract_loop
 
 
 def test_asm_numbers():
@@ -137,38 +134,13 @@ def _count_sixv_source_calls(monkeypatch):
 
 def test_enumeration_expands_each_state_once(monkeypatch):
     """The column recursion is memoized on (column, right-edge signs), and
-    each row of a column state reads each of its distinct face offsets
-    once: the six-vertex sum at n = 6 asks its weight source 636 times.
-    Without the memo the same descent asks it 90,804 times, and a walk of
-    every configuration looks up 184,884 vertex weights."""
+    each partial filling reads its vertex once: the six-vertex sum at n = 6
+    asks its weight source 1,324 times, where a recursion that re-expands a
+    state for every path reaching it looks up 184,884 vertex weights."""
     calls = _count_sixv_source_calls(monkeypatch)
     enumerate_6v(_trig(6))
     assert 0 < calls[0] <= 2000     # the memo
-    assert calls[0] == 636          # one read per distinct (row, offset)
-
-
-def _random_weight_source(rng):
-    """A source of random RMatrix4s, one fixed draw per (i, j, k)."""
-    @functools.cache
-    def source(i, j, k):
-        return RMatrix4(*(complex(*rng.normal(size=2)) for _ in range(5)))
-    return source
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_column_programs_change_no_bit(rng, n):
-    """Every reachable column state fills to the same weights and left
-    masks, bit for bit, as the plain fill list of tests/oracles.py."""
-    source = _random_weight_source(rng)
-    seen, todo = set(), [(1, 0)]
-    while todo:
-        i, right = todo.pop()
-        if i > n or (i, right) in seen:
-            continue
-        seen.add((i, right))
-        got = enumeration._column_branches(n, i, right, source)
-        assert got == column_fills(n, i, right, source)
-        todo.extend((i + 1, lefts) for _, lefts in got)
+    assert calls[0] == 1324         # one read per partial filling and row
 
 
 def test_transfer_asks_one_matrix_per_face_offset(monkeypatch):
