@@ -13,7 +13,11 @@ Two independent routes live here:
   per (column, row) step, with one weight matrix per face offset
   (126 weight-source calls at n = 6).
 
-Both cost exponentially in n and are capped at n <= SIZE_CAP = 6.
+Both cost exponentially in n and are capped at n <= SIZE_CAP = 6.  The
+routes run on one params object and one context share one vertex source
+per model, and build each matrix on first use: a `compute --route all`
+request builds 40 elliptic matrices at n = 4 (the transfer's 40 (i, j, k)
+include the enumeration's 32) and 36 six-vertex ones at n = 6.
 
 Geometry conventions.  Columns i = 1..n are numbered right to left, rows
 j = 1..n bottom to top.  The vertex in column i, row j carries edge signs
@@ -189,29 +193,48 @@ class HeightField:
         return int(bad)
 
 
+def _source(p, rmatrix_fn, standard, build, ctx=None):
+    """The vertex source build(rmatrix_fn) if a custom builder is given.
+    Otherwise build(standard), which every route run on params p and
+    context ctx shares: p._sources keeps one per standard builder (a
+    function, so keyed by identity) and rebuilds it when asked for another
+    context, which it tells apart by identity, never by equality; so p keeps
+    at most one context alive.  A build that raises is not recorded, and a
+    source closes over p's fields, never over p."""
+    if rmatrix_fn:
+        return build(rmatrix_fn)
+    hit = p._sources.get(standard)
+    if hit is None or hit[0] is not ctx:
+        hit = p._sources[standard] = ctx, build(standard)
+    return hit[1]
+
+
 def _sos_source(ctx, p, rmatrix_fn):
     """Elliptic SOS weights: vertex (i, j) at face offset k sees the
-    dynamical parameter lam + k*hbar."""
-    make = rmatrix_fn or sos_rmatrix
-    return cache(lambda i, j, k: make(ctx, p.u[i - 1] - p.v[j - 1],
-                                      p.lam + k * p.hbar, p.hbar))
+    dynamical parameter lam + k*hbar.  Each matrix is built on first use,
+    so the first route to ask evaluates theta in its own order."""
+    u, v, lam, hbar = p.u, p.v, p.lam, p.hbar
+    return _source(p, rmatrix_fn, sos_rmatrix, lambda make: cache(
+        lambda i, j, k: make(ctx, u[i - 1] - v[j - 1], lam + k * hbar,
+                             hbar)), ctx)
 
 
 def _sixv_source(p, rmatrix_fn):
     """Six-vertex weights carry no dynamical parameter, so one matrix per
     vertex serves every face offset."""
-    make = rmatrix_fn or sixv_rmatrix
-    table = [[make(z, w, p.q) for w in p.w] for z in p.z]
-    return lambda i, j, k: table[i - 1][j - 1]
+    def build(make):
+        table = [[make(z, w, p.q) for w in p.w] for z in p.z]
+        return lambda i, j, k: table[i - 1][j - 1]
+    return _source(p, rmatrix_fn, sixv_rmatrix, build)
 
 
 def _trig_source(p):
     """Trigonometric SOS weights: face offset k acts multiplicatively,
     mu -> mu * q^(2k); TrigParams.validate keeps 1 - mu q^(2k) off zero
     for every offset |k| <= 2n the routes reach."""
-    mu = _require_mu(p)
-    return cache(lambda i, j, k: trig_sos_rmatrix(
-        p.z[i - 1], p.w[j - 1], _mu_shift(mu, p.q, k), p.q))
+    mu, z, w, q = _require_mu(p), p.z, p.w, p.q
+    return _source(p, None, trig_sos_rmatrix, lambda make: cache(
+        lambda i, j, k: make(z[i - 1], w[j - 1], _mu_shift(mu, q, k), q)))
 
 
 def enumerate_6v(p: TrigParams, rmatrix_fn=None) -> complex:
@@ -276,6 +299,11 @@ def _transfer_contract(n: int, rfn) -> complex:
             w = (g @ ws.reshape(2 ** s, 4, -1)).reshape(ws.shape) \
                 .swapaxes(0, 1).reshape(w.shape)
         vec = w[0]                              # auxiliary exits with sign +1
+    # A complex matmul can return with the upper halves of the AVX-512
+    # registers dirty (seen with OpenBLAS 0.3.31's SkylakeX kernels); every
+    # later libm call, theta's cmath.exp included, then ran 7-15x slower
+    # until some AVX routine cleared them.  numpy's elementwise loops do.
+    np.abs(vec.reshape(-1)[-1:])
     return complex(vec[(1,) * n])
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -79,13 +79,18 @@ class EllipticParams:
 
     u, v are the column and row spectral parameters (length n each), lam is
     the dynamical parameter attached to the corner face, hbar the step by
-    which face heights shift it.
+    which face heights shift it.  `_sources` (no part of equality, hash or
+    repr) records the vertex source that the configuration routes run on
+    this object share, for the last context they ran on
+    (enumeration._source).
     """
 
     u: tuple
     v: tuple
     lam: complex
     hbar: complex
+    _sources: dict = field(init=False, repr=False, compare=False,
+                           default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "u", tuple(complex(x) for x in self.u))
@@ -122,12 +127,16 @@ class EllipticParams:
 @dataclass(frozen=True)
 class TrigParams:
     """Multiplicative spectral parameters z, w with anisotropy q and, for the
-    dynamical trigonometric model, the multiplicative dynamical parameter mu."""
+    dynamical trigonometric model, the multiplicative dynamical parameter mu.
+    `_sources` records the routes' vertex source per model, as
+    EllipticParams' does."""
 
     z: tuple
     w: tuple
     q: complex
     mu: complex | None = None
+    _sources: dict = field(init=False, repr=False, compare=False,
+                           default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "z", tuple(complex(x) for x in self.z))

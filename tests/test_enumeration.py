@@ -1,5 +1,11 @@
 """Exhaustive enumeration, transfer matrix, sign configs, height fields."""
 
+import cmath
+import gc
+import math
+import time
+import weakref
+
 import numpy as np
 import pytest
 
@@ -150,6 +156,157 @@ def test_transfer_asks_one_matrix_per_face_offset(monkeypatch):
     calls = _count_sixv_source_calls(monkeypatch)
     column_transfer_6v(_trig(6))
     assert calls[0] == 6 * 21
+
+
+def _count_builds(monkeypatch, name):
+    """Count the calls the routes make to enumeration's binding of the
+    R-matrix builder `name`; returns the one-element counter."""
+    calls = [0]
+    make = getattr(enumeration, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return make(*args)
+
+    monkeypatch.setattr(enumeration, name, counted)
+    return calls
+
+
+def _elliptic(n):
+    return EllipticParams([0.1 * k for k in range(n)],
+                          [0.05 + 0.1 * k for k in range(n)], 0.31, 0.17)
+
+
+def test_routes_share_one_vertex_source(monkeypatch):
+    """Enumeration and transfer on one (params, context) build each vertex
+    once between them: at n = 4 the enumeration reaches 32 (i, j, k) and
+    the transfer 40, a superset, so 40 elliptic builds, not 72; the
+    six-vertex table at n = 6 is 36 builds, not 2 x 36."""
+    sos = _count_builds(monkeypatch, "sos_rmatrix")
+    ctx, p = ThetaContext(0.1j), _elliptic(4)
+    enumerate_sos(ctx, p)
+    assert sos[0] == 32
+    column_transfer_z(ctx, p)
+    assert sos[0] == 40
+    sixv = _count_builds(monkeypatch, "sixv_rmatrix")
+    p6 = _trig(6)
+    enumerate_6v(p6)
+    column_transfer_6v(p6)
+    assert sixv[0] == 36
+
+
+def test_shared_source_gives_each_route_its_own_value(monkeypatch):
+    """Values with the shared source equal those of routes run each on a
+    fresh params object, bit for bit, and the trigonometric SOS source is
+    shared too."""
+    ctx = ThetaContext(0.05j)
+    p = _elliptic(4)
+    assert column_transfer_z(ctx, p) == column_transfer_z(ctx, _elliptic(4))
+    assert enumerate_sos(ctx, p) == enumerate_sos(ctx, _elliptic(4))
+    trig = _count_builds(monkeypatch, "trig_sos_rmatrix")
+    pt = _trig(4, mu=0.7)
+    enumerate_trig_sos(pt)
+    built = trig[0]
+    column_transfer_trig(pt)
+    assert trig[0] == 40 == built + 8
+
+
+def test_custom_rmatrix_fn_builds_its_own_weights(monkeypatch):
+    """A custom rmatrix_fn neither reads nor fills the shared source."""
+    sos = _count_builds(monkeypatch, "sos_rmatrix")
+    ctx, p = ThetaContext(1j), _elliptic(3)
+    custom = [0]
+
+    def gauged(*args):
+        custom[0] += 1
+        return sos_rmatrix(*args)
+
+    enumerate_sos(ctx, p, rmatrix_fn=gauged)
+    assert (custom[0], sos[0]) == (16, 0)
+    enumerate_sos(ctx, p)
+    assert sos[0] == 16                     # not filled by the custom run
+    enumerate_sos(ctx, p, rmatrix_fn=gauged)
+    assert (custom[0], sos[0]) == (32, 16)  # nor read by the next one
+    sixv = _count_builds(monkeypatch, "sixv_rmatrix")
+    p6 = _trig(3)
+    enumerate_6v(p6)
+    enumerate_6v(p6, rmatrix_fn=sixv_rmatrix)
+    assert sixv[0] == 9
+    assert enumerate_6v(p6, rmatrix_fn=lambda *a: enumeration._UNIT) == 7
+
+
+def test_equal_params_or_contexts_never_share_a_source(monkeypatch):
+    """Sources are told apart by identity: two equal but distinct params
+    objects, or two contexts (here equal up to the sign of Re tau's zero),
+    each build their own weights."""
+    sos = _count_builds(monkeypatch, "sos_rmatrix")
+    ctx = ThetaContext(1j)
+    p, q = _elliptic(3), _elliptic(3)
+    assert p == q and p is not q
+    enumerate_sos(ctx, p)
+    enumerate_sos(ctx, q)
+    assert sos[0] == 2 * 16
+    twin = ThetaContext(complex(-0.0, 1.0))
+    assert twin == ctx and twin is not ctx
+    enumerate_sos(twin, p)
+    assert sos[0] == 3 * 16
+    # equal up to signed zeros: 0.0 == -0.0 in u[0]
+    zero, minus_zero = (EllipticParams([x, 0.1, 0.2], [0.05, 0.15, 0.25],
+                                       0.31, 0.17) for x in (0.0, -0.0))
+    assert zero == minus_zero
+    enumerate_sos(ctx, zero)
+    enumerate_sos(ctx, minus_zero)
+    assert sos[0] == 5 * 16
+
+
+def test_params_keep_only_the_last_context_alive(monkeypatch):
+    """A params object run on a second context drops its source for the
+    first, so a loop over contexts keeps one alive, not every one; a route
+    on the first context again builds afresh."""
+    sos = _count_builds(monkeypatch, "sos_rmatrix")
+    p, first = _elliptic(3), ThetaContext(1j)
+    gone = weakref.ref(first)
+    enumerate_sos(first, p)
+    second = ThetaContext(0.5j)
+    enumerate_sos(second, p)
+    del first
+    gc.collect()
+    assert gone() is None
+    assert sos[0] == 2 * 16
+    enumerate_sos(second, p)
+    assert sos[0] == 2 * 16
+    enumerate_sos(ThetaContext(1j), p)
+    assert sos[0] == 3 * 16
+
+
+def _exp_ns(passes=7, reps=2000):
+    """cmath.exp's cost in ns per call, the least of several passes."""
+    best = math.inf
+    for _ in range(passes):
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            cmath.exp(0.3 + 0.2j)
+        best = min(best, time.perf_counter() - t0)
+    return 1e9 * best / reps
+
+
+def test_transfer_leaves_libm_at_full_speed():
+    """On some BLAS kernels a complex matmul returns with the vector unit in
+    a state that slows every later libm call 7-15x, theta's included; the
+    transfer must not hand that state on.  Where a bare matmul does not
+    slow cmath.exp at least 3x there is nothing to test."""
+    a = np.ones((4, 4), dtype=complex)
+    np.abs(a[:1, :1])                   # clears what earlier tests left
+    clean = _exp_ns()
+    a @ a
+    dirty = _exp_ns()
+    np.abs(a[:1, :1])
+    if dirty < 3 * clean:
+        pytest.skip(f"a complex matmul leaves cmath.exp at {dirty:.0f} ns "
+                    f"against {clean:.0f} ns")
+    column_transfer_z(ThetaContext(0.1j), _elliptic(4))
+    # a few readings, so that one preempted pass cannot fail the test
+    assert min(_exp_ns() for _ in range(4)) < 2 * clean
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

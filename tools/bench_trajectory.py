@@ -7,11 +7,15 @@ this checkout.
 Run from the root of a checkout.  The parent revision is exported with
 `git archive` into `.bench_build/<REV>` (ignored by git); the change is
 the checkout itself, as it stands.  For every workload of BENCHMARK.json
-and each of seeds 1-3, at BENCHMARK.json's run length, each tree's own `perfbench/run.py --trace 0` runs once,
-parent and change alternating so that a drift of the machine's
-speed reaches both alike.  The file holds, per workload and tree, the
-median of each end-to-end metric over the seeds and the summed attempted
-and failed request counts, with the change/parent ratio of each median.
+and each of seeds 1-3, at BENCHMARK.json's run length, each tree's own
+`perfbench/run.py --trace 0` runs once, the two runs of a seed back to
+back.  The parent runs first on the first and third seeds and second on
+the second, so that neither tree always takes the later, warmer or cooler
+slot; "run_order" records which tree ran first on each seed.  The file
+holds, per workload and tree, the median of each end-to-end metric over
+the seeds and the summed attempted and failed request counts, with the
+change/parent ratio of each median and, under "pair_ratios", the ratio of
+each seed's pair.
 
 Per-layer counts come from one `perfbench/run.py --trace 1` run per
 workload and tree, seed 1, at the same run length.  "per_layer" holds
@@ -172,12 +176,14 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     trees = {"parent": export(args.parent), "change": ROOT}
+    orders = {seed: list(trees)[::-1] if k % 2 else list(trees)
+              for k, seed in enumerate(SEEDS)}
     workloads = {}
     for w in spec["workloads"]:
         runs = {side: [] for side in trees}
         for seed in SEEDS:
-            for side, tree in trees.items():
-                runs[side].append(bench(tree, w["name"], seed, seconds))
+            for side in orders[seed]:
+                runs[side].append(bench(trees[side], w["name"], seed, seconds))
                 print(f"{w['name']} seed {seed} {side}: "
                       f"{runs[side][-1]['metrics']['req_per_s_norm']['value']:.4g} "
                       f"req/s, {runs[side][-1]['failed']} failed", file=sys.stderr)
@@ -185,6 +191,11 @@ def main(argv=None) -> int:
         medians["ratio"] = {m["name"]: medians["change"][m["name"]]
                             / medians["parent"][m["name"]]
                             for m in spec["end_to_end"]}
+        medians["pair_ratios"] = {
+            m["name"]: [c["metrics"][m["name"]]["value"]
+                        / p["metrics"][m["name"]]["value"]
+                        for p, c in zip(runs["parent"], runs["change"])]
+            for m in spec["end_to_end"]}
         workloads[w["name"]] = medians
     counts = [m["name"] for m in spec["per_layer"] if m["unit"] in COUNT_UNITS]
     per_layer = {}
@@ -209,6 +220,7 @@ def main(argv=None) -> int:
         "change": {"head": git("rev-parse", "HEAD"),
                    "uncommitted_changes": bool(git("status", "--porcelain"))},
         "seeds": SEEDS,
+        "run_order": {str(seed): order for seed, order in orders.items()},
         "seconds": seconds,
         "environment": {"python": platform.python_version(),
                         "numpy": version("numpy"),
