@@ -9,10 +9,9 @@ from .closedform import SUM_CAP, recursion_factor, weight_kernel, \
 from .ellpoly import Character, addition_formula_residual, interpolate, \
     membership_residual, qj_interpolation_residual, theta_product_poly, \
     vandermonde_ratio
-from .enumeration import SIZE_CAP, HeightField, SignConfig, asm_number, \
-    column_transfer_6v, column_transfer_trig, column_transfer_z, \
-    count_configurations, dwbc_sign_configs, enumerate_6v, \
-    enumerate_sos, enumerate_trig_sos
+from .enumeration import SIZE_CAP, asm_number, column_transfer_6v, \
+    column_transfer_trig, column_transfer_z, count_configurations, \
+    enumerate_6v, enumerate_sos, enumerate_trig_sos
 from .errors import DegenerateNodes, DegenerateParameter, DwbcError, \
     InvalidParameter, SizeCap
 from .rmatrix import EllipticParams, RMatrix4, TrigParams, dybe_residual, \
@@ -26,12 +25,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Character", "DegenerateNodes", "DegenerateParameter", "DwbcError",
-    "EllipticParams", "HeightField", "InvalidParameter", "RMatrix4",
-    "SIZE_CAP", "SUM_CAP", "SignConfig", "SizeCap", "ThetaContext",
-    "TrigParams",
+    "EllipticParams", "InvalidParameter", "RMatrix4", "SIZE_CAP", "SUM_CAP",
+    "SizeCap", "ThetaContext", "TrigParams",
     "addition_formula_residual", "asm_number", "column_transfer_6v",
     "column_transfer_trig", "column_transfer_z",
-    "count_configurations", "dwbc_sign_configs", "dybe_residual",
+    "count_configurations", "dybe_residual",
     "dybe_residual_from_builder", "dybe_residual_trig", "enumerate_6v",
     "enumerate_sos", "enumerate_trig_sos", "gauge_rescale", "interpolate",
     "is_on_lattice", "membership_residual", "qj_interpolation_residual",

@@ -8,10 +8,13 @@ Subcommands
     bench     time every route of a model over sizes n = 1..cap and report
               term counts
 
-compute and bench run a model's routes through one runner, `_run_routes`.
-Its route table holds no size caps: a route over the library's cap raises
-`SizeCap`, which drops that route from `--route all` and from bench, and is
-an error only when that route was named.
+compute and bench run a model's routes through one runner, `_run_routes`,
+from one table, `_MODELS`, that gives each model's two list flags, how its
+route arguments are built, and its routes in report order, named by the
+library functions that run them.  The table holds no size caps: a route
+over the library's cap raises `SizeCap`, which drops that route from
+`--route all` and from bench, and is an error only when that route was
+named.
 
 Complex flags accept plain reals, `a+bi` forms, the token `i`, and
 `[re, im]` pairs.  Seeded parameter lists are drawn componentwise from the
@@ -48,10 +51,31 @@ from .rmatrix import EllipticParams, TrigParams, dybe_residual, \
     trig_nondyn_rmatrix, trig_sos_rmatrix, ybe_residual_nondyn
 from .theta import ThetaContext
 
-# flags of each model's column and row parameter lists
-_PARAMETER_NAMES = {"sos-elliptic": ("u", "v"), "sos-trig": ("z", "w"),
-                   "six-vertex": ("z", "w")}
-MODELS = tuple(_PARAMETER_NAMES)
+# model -> (column and row list flags, route arguments from cfg and those
+# lists, {route: library function name}); a name is looked up in this
+# module's namespace when its route runs, so a rebound function is the one
+# called
+_MODELS = {
+    "sos-elliptic": (
+        ("u", "v"),
+        lambda cfg, a, b: (ThetaContext(cfg.tau),
+                           EllipticParams(a, b, cfg.lam, cfg.hbar)),
+        {"enumerate": "enumerate_sos", "transfer": "column_transfer_z",
+         "sum": "z_sos_elliptic"}),
+    "sos-trig": (
+        ("z", "w"),
+        lambda cfg, a, b: (TrigParams(a, b, cfg.q, cfg.mu),),
+        {"enumerate": "enumerate_trig_sos",
+         "transfer": "column_transfer_trig", "sum": "z_trig_sos"}),
+    "six-vertex": (
+        ("z", "w"),
+        lambda cfg, a, b: (TrigParams(a, b, cfg.q),),
+        {"enumerate": "enumerate_6v", "transfer": "column_transfer_6v",
+         "determinant": "z_izergin", "sum": "z_6v_sum"}),
+}
+MODELS = tuple(_MODELS)
+# every model's list flags, in table order: u, v, z, w
+_LIST_FLAGS = tuple(dict.fromkeys(f for m in _MODELS.values() for f in m[0]))
 ROUTES = ("enumerate", "transfer", "sum", "determinant", "all")
 PROXY_TOL = 1e-6
 _NUMBER = {"type": ["number", "null"]}   # null stands for a non-finite value
@@ -141,9 +165,9 @@ def _rel_matrix(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / scale
 
 
-def _timed(fn):
+def _timed(fn, *args):
     t0 = time.perf_counter()
-    val = fn()
+    val = fn(*args)
     return val, (time.perf_counter() - t0) * 1000.0
 
 
@@ -164,7 +188,7 @@ def _config_echo(cfg: argparse.Namespace) -> dict:
         out["route"] = cfg.route
     if cfg.command == "check":
         out["suite"] = cfg.suite
-    for name in ("u", "v", "z", "w"):
+    for name in _LIST_FLAGS:
         lst = getattr(cfg, name)
         if lst is not None:
             out[name] = [_cjson(x) for x in lst]
@@ -183,28 +207,13 @@ def _run_routes(cfg: argparse.Namespace, a: list, b: list, route: str) -> list:
     each of its routes when route is 'all', run in report order on the
     column parameters a and row parameters b.  'all' drops a route whose
     library call raises SizeCap; a named route passes the error on."""
-    if cfg.model == "sos-elliptic":
-        ctx = ThetaContext(cfg.tau)
-        p = EllipticParams(a, b, cfg.lam, cfg.hbar)
-        routes = {"enumerate": lambda: enumerate_sos(ctx, p),
-                  "transfer": lambda: column_transfer_z(ctx, p),
-                  "sum": lambda: z_sos_elliptic(ctx, p)}
-    elif cfg.model == "sos-trig":
-        p = TrigParams(a, b, cfg.q, cfg.mu)
-        routes = {"enumerate": lambda: enumerate_trig_sos(p),
-                  "transfer": lambda: column_transfer_trig(p),
-                  "sum": lambda: z_trig_sos(p)}
-    else:
-        p = TrigParams(a, b, cfg.q)
-        routes = {"enumerate": lambda: enumerate_6v(p),
-                  "transfer": lambda: column_transfer_6v(p),
-                  "determinant": lambda: z_izergin(p),
-                  "sum": lambda: z_6v_sum(p)}
+    _, make_args, routes = _MODELS[cfg.model]
+    args = make_args(cfg, a, b)
     runs = []
-    for name, thunk in routes.items():
+    for name, fn in routes.items():
         if route in (name, "all"):
             try:
-                runs.append((name, *_timed(thunk)))
+                runs.append((name, *_timed(globals()[fn], *args)))
             except SizeCap:
                 if route != "all":
                     raise
@@ -212,7 +221,7 @@ def _run_routes(cfg: argparse.Namespace, a: list, b: list, route: str) -> list:
 
 
 def cmd_compute(cfg: argparse.Namespace):
-    pair = _PARAMETER_NAMES[cfg.model]
+    pair = _MODELS[cfg.model][0]
     if getattr(cfg, pair[0]) is None:
         for name, draw in zip(pair, draw_parameters(cfg.n, cfg.seed)):
             setattr(cfg, name, draw)
@@ -514,7 +523,7 @@ def _add_common(sub: argparse.ArgumentParser, default_n: int) -> None:
     sub.add_argument("--n", type=int, default=None)
     # fields a subcommand has no flag for, so every command reads them alike
     sub.set_defaults(default_n=default_n, route="all", suite="all",
-                     u=None, v=None, z=None, w=None)
+                     **dict.fromkeys(_LIST_FLAGS))
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--tau", type=parse_complex, default=1j)
     sub.add_argument("--lambda", dest="lam", type=parse_complex, default=0.31)
@@ -537,10 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc = subs.add_parser("compute", help="evaluate one or all routes")
     _add_common(pc, default_n=3)
     pc.add_argument("--route", choices=ROUTES)
-    pc.add_argument("--u", nargs="+", type=parse_complex)
-    pc.add_argument("--v", nargs="+", type=parse_complex)
-    pc.add_argument("--z", nargs="+", type=parse_complex)
-    pc.add_argument("--w", nargs="+", type=parse_complex)
+    for name in _LIST_FLAGS:
+        pc.add_argument(f"--{name}", nargs="+", type=parse_complex)
 
     pk = subs.add_parser("check", help="run a verification suite")
     pk.add_argument("suite", nargs="?", choices=SUITES)
@@ -558,13 +565,13 @@ def _validate(cfg: argparse.Namespace) -> None:
         raise InvalidParameter(f"--seed must be >= 0, got {cfg.seed}")
     if not cfg.tolerance > 0:
         raise InvalidParameter(f"tolerance must be positive, got {cfg.tolerance}")
-    given = {name: getattr(cfg, name) for name in ("u", "v", "z", "w")
+    given = {name: getattr(cfg, name) for name in _LIST_FLAGS
              if getattr(cfg, name) is not None}
     for name, lst in given.items():
         if len(lst) != cfg.n:
             raise InvalidParameter(
                 f"--{name} lists {len(lst)} values but n = {cfg.n}")
-    pair = _PARAMETER_NAMES[cfg.model]
+    pair = _MODELS[cfg.model][0]
     if given and tuple(given) != pair:
         raise InvalidParameter(
             f"model '{cfg.model}' takes --{pair[0]} and --{pair[1]}, given "
@@ -580,8 +587,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     if cfg.n is None:
-        explicit = next((lst for lst in (cfg.u, cfg.v, cfg.z, cfg.w)
-                         if lst is not None), None)
+        explicit = next((getattr(cfg, name) for name in _LIST_FLAGS
+                         if getattr(cfg, name) is not None), None)
         cfg.n = cfg.default_n if explicit is None else len(explicit)
     try:
         _validate(cfg)

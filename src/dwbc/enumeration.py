@@ -13,11 +13,11 @@ Two independent routes live here:
   per (column, row) step, with one weight matrix per face offset
   (126 weight-source calls at n = 6).
 
-Both cost exponentially in n and are capped at n <= SIZE_CAP = 6.  The
-routes run on one params object and one context share one vertex source
-per model, and build each matrix on first use: a `compute --route all`
-request builds 40 elliptic matrices at n = 4 (the transfer's 40 (i, j, k)
-include the enumeration's 32) and 36 six-vertex ones at n = 6.
+Both cost exponentially in n and are capped at n <= SIZE_CAP = 6.  Every
+route reaches its vertex weights through `_source`, whose docstring states
+when routes share them: a `compute --route all` request builds 40 elliptic
+matrices at n = 4 (the transfer's 40 (i, j, k) include the enumeration's
+32) and 36 six-vertex ones at n = 6.
 
 Geometry conventions.  Columns i = 1..n are numbered right to left, rows
 j = 1..n bottom to top.  The vertex in column i, row j carries edge signs
@@ -33,7 +33,6 @@ taken at dynamical parameter lam + k*hbar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
@@ -110,131 +109,57 @@ def count_configurations(n: int) -> int:
     return int(round(total.real))
 
 
-@dataclass(frozen=True)
-class SignConfig:
-    """Edge signs of one ice configuration; arrays are indexed [i-1, j-1]."""
+def _source(p, route, weights, ctx=None, rmatrix_fn=None):
+    """Check p (on ctx, for the elliptic model) and n against the route's
+    cap, then return the vertex source weights(p, ctx, make), which builds
+    each vertex with make, or with the model's standard builder if None.
 
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    delta: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.alpha.shape[0]
-
-    @classmethod
-    def from_states(cls, states):
-        """Assemble from the n + 1 column states: states[i - 1] and states[i]
-        are the right- and left-edge signs of column i, row j at index j - 1.
-        Sign conservation fixes the rest: gamma_j = 1 + sum over l >= j of
-        (beta_l - delta_l), and alpha is gamma shifted up one row, +1 on top.
-        """
-        s = np.array(states, dtype=np.int8)
-        beta, delta = s[:-1], s[1:]
-        gamma = 1 + np.flip(np.cumsum(np.flip(beta - delta, 1), 1, np.int8), 1)
-        alpha = np.roll(gamma, -1, axis=1)
-        alpha[:, -1] = 1
-        return cls(alpha, beta, gamma, delta)
-
-
-def dwbc_sign_configs(n: int):
-    """Yield every SignConfig compatible with domain-wall boundaries,
-    in the deterministic depth-first order of the enumerator."""
-    _check_cap(n, SIZE_CAP, "enumeration")
-
-    def paths(i, masks):
-        if i > n:
-            yield masks
-            return
-        for _, lefts in _column_branches(n, i, masks[-1], lambda *_: _UNIT):
-            yield from paths(i + 1, masks + (lefts,))
-
-    for masks in paths(1, (0,)):
-        yield SignConfig.from_states(
-            [[1 if m >> j & 1 else -1 for j in range(n)] for m in masks])
-
-
-@dataclass(frozen=True)
-class HeightField:
-    """Face heights of an SOS configuration, stored as integer offsets from
-    the corner height d_nn; offsets[i, j] belongs to the face with corners
-    between columns i, i+1 and rows j, j+1, for i, j = 0..n."""
-
-    offsets: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.offsets.shape[0] - 1
-
-    @classmethod
-    def from_signs(cls, cfg: SignConfig) -> "HeightField":
-        n = cfg.n
-        off = np.zeros((n + 1, n + 1), dtype=np.int64)
-        off[n, n] = 0
-        for j in range(n, 0, -1):           # leftmost face column via delta
-            off[n, j - 1] = off[n, j] + cfg.delta[n - 1, j - 1]
-        for i in range(n, 0, -1):           # top face row via alpha
-            off[i - 1, n] = off[i, n] + cfg.alpha[i - 1, n - 1]
-        for i in range(n, 0, -1):           # interior via beta
-            for j in range(n, 0, -1):
-                off[i - 1, j - 1] = off[i - 1, j] + cfg.beta[i - 1, j - 1]
-        return cls(off)
-
-    def heights(self, lam: complex, hbar: complex) -> np.ndarray:
-        """Complex heights d with hbar*d_nn = lam."""
-        return lam / hbar + self.offsets.astype(complex)
-
-    def step_violations(self) -> int:
-        """Count adjacent face pairs whose height difference is not +-1."""
-        d = self.offsets
-        bad = np.sum(np.abs(np.diff(d, axis=0)) != 1)
-        bad += np.sum(np.abs(np.diff(d, axis=1)) != 1)
-        return int(bad)
-
-
-def _source(p, rmatrix_fn, standard, build, ctx=None):
-    """The vertex source build(rmatrix_fn) if a custom builder is given.
-    Otherwise build(standard), which every route run on params p and
-    context ctx shares: p._sources keeps one per standard builder (a
-    function, so keyed by identity) and rebuilds it when asked for another
-    context, which it tells apart by identity, never by equality; so p keeps
-    at most one context alive.  A build that raises is not recorded, and a
-    source closes over p's fields, never over p."""
+    The one shared-source rule: a custom rmatrix_fn gets a source of its
+    own, neither read nor recorded.  Every route run on p and ctx shares the
+    standard source, kept in p's one slot (ctx, weights, source) and
+    matched by identity, never by equality (objects equal up to +-0 must
+    not share); another context or model replaces it, so p keeps at most
+    one context alive.  A build that raises is not recorded.  A source
+    builds each matrix on first use, so the first route to ask evaluates
+    theta in its own order, and closes over p's fields, never over p."""
+    if ctx is None:
+        p.validate()
+    else:
+        p.validate(ctx)
+    _check_cap(p.n, SIZE_CAP, route)
     if rmatrix_fn:
-        return build(rmatrix_fn)
-    hit = p._sources.get(standard)
-    if hit is None or hit[0] is not ctx:
-        hit = p._sources[standard] = ctx, build(standard)
-    return hit[1]
+        return weights(p, ctx, rmatrix_fn)
+    slot = p._source
+    if slot is None or slot[0] is not ctx or slot[1] is not weights:
+        slot = ctx, weights, weights(p, ctx, None)
+        object.__setattr__(p, "_source", slot)
+    return slot[2]
 
 
-def _sos_source(ctx, p, rmatrix_fn):
+def _sos(p, ctx, make):
     """Elliptic SOS weights: vertex (i, j) at face offset k sees the
-    dynamical parameter lam + k*hbar.  Each matrix is built on first use,
-    so the first route to ask evaluates theta in its own order."""
-    u, v, lam, hbar = p.u, p.v, p.lam, p.hbar
-    return _source(p, rmatrix_fn, sos_rmatrix, lambda make: cache(
-        lambda i, j, k: make(ctx, u[i - 1] - v[j - 1], lam + k * hbar,
-                             hbar)), ctx)
+    dynamical parameter lam + k*hbar."""
+    make, u, v, lam, hbar = make or sos_rmatrix, p.u, p.v, p.lam, p.hbar
+    return cache(lambda i, j, k: make(ctx, u[i - 1] - v[j - 1],
+                                      lam + k * hbar, hbar))
 
 
-def _sixv_source(p, rmatrix_fn):
+def _sixv(p, ctx, make):
     """Six-vertex weights carry no dynamical parameter, so one matrix per
     vertex serves every face offset."""
-    def build(make):
-        table = [[make(z, w, p.q) for w in p.w] for z in p.z]
-        return lambda i, j, k: table[i - 1][j - 1]
-    return _source(p, rmatrix_fn, sixv_rmatrix, build)
+    make = make or sixv_rmatrix
+    table = [[make(z, w, p.q) for w in p.w] for z in p.z]
+    return lambda i, j, k: table[i - 1][j - 1]
 
 
-def _trig_source(p):
+def _trig(p, ctx, make):
     """Trigonometric SOS weights: face offset k acts multiplicatively,
     mu -> mu * q^(2k); TrigParams.validate keeps 1 - mu q^(2k) off zero
     for every offset |k| <= 2n the routes reach."""
     mu, z, w, q = _require_mu(p), p.z, p.w, p.q
-    return _source(p, None, trig_sos_rmatrix, lambda make: cache(
-        lambda i, j, k: make(z[i - 1], w[j - 1], _mu_shift(mu, q, k), q)))
+    make = make or trig_sos_rmatrix
+    return cache(lambda i, j, k: make(z[i - 1], w[j - 1],
+                                      _mu_shift(mu, q, k), q))
 
 
 def enumerate_6v(p: TrigParams, rmatrix_fn=None) -> complex:
@@ -244,9 +169,7 @@ def enumerate_6v(p: TrigParams, rmatrix_fn=None) -> complex:
     rmatrix_fn(z, w, q) -> RMatrix4 may replace the standard weights (e.g.
     a gauge-transformed matrix); the default is sixv_rmatrix.
     """
-    p.validate()
-    _check_cap(p.n, SIZE_CAP, "enumeration")
-    return _weight_sum(p.n, _sixv_source(p, rmatrix_fn))
+    return _weight_sum(p.n, _source(p, "enumeration", _sixv, None, rmatrix_fn))
 
 
 def enumerate_sos(ctx: ThetaContext, p: EllipticParams,
@@ -258,17 +181,13 @@ def enumerate_sos(ctx: ThetaContext, p: EllipticParams,
     cached per (column, row, k).  rmatrix_fn(ctx, x, lam, hbar) -> RMatrix4
     may replace sos_rmatrix.
     """
-    p.validate(ctx)
-    _check_cap(p.n, SIZE_CAP, "enumeration")
-    return _weight_sum(p.n, _sos_source(ctx, p, rmatrix_fn))
+    return _weight_sum(p.n, _source(p, "enumeration", _sos, ctx, rmatrix_fn))
 
 
 def enumerate_trig_sos(p: TrigParams) -> complex:
     """Trigonometric dynamical SOS partition function by enumeration; the
     face offset k acts multiplicatively, mu -> mu * q^(2k)."""
-    p.validate()
-    _check_cap(p.n, SIZE_CAP, "enumeration")
-    return _weight_sum(p.n, _trig_source(p))
+    return _weight_sum(p.n, _source(p, "enumeration", _trig))
 
 
 def _transfer_contract(n: int, rfn) -> complex:
@@ -311,22 +230,16 @@ def column_transfer_z(ctx: ThetaContext, p: EllipticParams) -> complex:
     """Elliptic SOS partition function as a product of column transfer
     matrices; the dynamical argument of vertex (i, j) is lam + k*hbar with
     the face offset k tracked through the contraction."""
-    p.validate(ctx)
-    _check_cap(p.n, SIZE_CAP, "transfer-matrix")
-    return _transfer_contract(p.n, _sos_source(ctx, p, None))
+    return _transfer_contract(p.n, _source(p, "transfer-matrix", _sos, ctx))
 
 
 def column_transfer_6v(p: TrigParams) -> complex:
     """Six-vertex partition function by the same column contraction; the
     weights carry no dynamical parameter, so the face offset is ignored."""
-    p.validate()
-    _check_cap(p.n, SIZE_CAP, "transfer-matrix")
-    return _transfer_contract(p.n, _sixv_source(p, None))
+    return _transfer_contract(p.n, _source(p, "transfer-matrix", _sixv))
 
 
 def column_transfer_trig(p: TrigParams) -> complex:
     """Dynamical trigonometric partition function by column contraction;
     face offset k multiplies the dynamical parameter by q^(2k)."""
-    p.validate()
-    _check_cap(p.n, SIZE_CAP, "transfer-matrix")
-    return _transfer_contract(p.n, _trig_source(p))
+    return _transfer_contract(p.n, _source(p, "transfer-matrix", _trig))

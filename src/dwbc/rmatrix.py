@@ -79,18 +79,16 @@ class EllipticParams:
 
     u, v are the column and row spectral parameters (length n each), lam is
     the dynamical parameter attached to the corner face, hbar the step by
-    which face heights shift it.  `_sources` (no part of equality, hash or
-    repr) records the vertex source that the configuration routes run on
-    this object share, for the last context they ran on
-    (enumeration._source).
+    which face heights shift it.  `_source` (no part of equality, hash or
+    repr) is the routes' shared vertex source (enumeration._source).
     """
 
     u: tuple
     v: tuple
     lam: complex
     hbar: complex
-    _sources: dict = field(init=False, repr=False, compare=False,
-                           default_factory=dict)
+    _source: tuple | None = field(init=False, repr=False, compare=False,
+                                  default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "u", tuple(complex(x) for x in self.u))
@@ -127,16 +125,15 @@ class EllipticParams:
 @dataclass(frozen=True)
 class TrigParams:
     """Multiplicative spectral parameters z, w with anisotropy q and, for the
-    dynamical trigonometric model, the multiplicative dynamical parameter mu.
-    `_sources` records the routes' vertex source per model, as
-    EllipticParams' does."""
+    dynamical trigonometric model, the multiplicative dynamical parameter mu;
+    `_source` as in EllipticParams."""
 
     z: tuple
     w: tuple
     q: complex
     mu: complex | None = None
-    _sources: dict = field(init=False, repr=False, compare=False,
-                           default_factory=dict)
+    _source: tuple | None = field(init=False, repr=False, compare=False,
+                                  default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "z", tuple(complex(x) for x in self.z))

@@ -47,9 +47,8 @@ sum).  A value beyond the float range raises InvalidParameter.
 
 Memo.  Each context remembers the values theta has returned on it, keyed
 on the argument's bits, so an argument that recurs while the context lives
-is evaluated once.  The params object of a request remembers the vertex
-weights built from those values (enumeration._source), so its routes ask
-theta once per vertex.
+is evaluated once.  The routes of a request share the vertex weights built
+from those values (enumeration._source), so they ask theta once per vertex.
 """
 
 from __future__ import annotations
@@ -71,20 +70,17 @@ _MEMO_LIMIT = 4096      # values one context remembers; later ones are not store
 class ThetaContext:
     """Modular parameter with its reduced frame, and a memo of theta's values.
 
-    The frame is fixed at construction.  The CLI builds one context and one
-    params object per request, and they remember three things while they
-    live, each in a dict that takes no part in equality, hash or repr.  The
-    context keeps two of at most _MEMO_LIMIT = 4,096 entries: `_memo`, the
-    finite value theta returned for the bits of each argument (both parts
-    and the signs of their zeros), and `_checked`, kept by `_check_once`,
-    the largest n at which each key passed its check
-    (EllipticParams.validate keys on (lam, hbar); a failure is never
-    stored).  The params object keeps `_sources`, the vertex source its
-    routes share, for the last context they ran on.  A context can be
-    shared freely between threads: a dict get or set is atomic under the
-    interpreter lock, and a stored entry is the one any thread would
-    compute, so a race costs at most a repeated evaluation or check, or a
-    few entries past the limit.
+    The frame is fixed at construction.  The CLI builds one context per
+    request, and it remembers two things while it lives, each in a dict of
+    at most _MEMO_LIMIT = 4,096 entries that takes no part in equality,
+    hash or repr: `_memo`, the finite value theta returned for the bits of
+    each argument (both parts and the signs of their zeros), and
+    `_checked`, kept by `_check_once`, the largest n at which each key
+    passed its check (EllipticParams.validate keys on (lam, hbar); a
+    failure is never stored).  A context can be shared freely between
+    threads: a dict get or set is atomic under the interpreter lock, and a
+    stored entry is the one any thread would compute, so a race costs at
+    most a repeated evaluation or check, or a few entries past the limit.
 
     Construction fails unless Im(tau) > 2 * 1e-10, the lattice guard's
     tolerance: below that, two lattice points could both lie within the

@@ -2,15 +2,22 @@
 
 Everything here is deliberately written from scratch against the defining
 formulas, without importing any internals from the package, so that the
-library and the oracle cannot share a bug.
+library and the oracle cannot share a bug.  The one exception is the last
+section: sign configurations and height fields, which only tests use, walk
+the enumerator's own column step, so that a test can rebuild the sum from
+the configurations the enumerator visits.
 """
 
 import cmath
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from dwbc.enumeration import SIZE_CAP, _UNIT, _column_branches
+from dwbc.errors import _check_cap
 
 # ---------------------------------------------------------------------------
 # Theta function via the alternating sine series
@@ -259,6 +266,10 @@ def transfer_contract_loop(n, rfn):
                                                 axes=([2, 3], [0, 1]))
             w = new_w
         vec = w[0]                              # auxiliary exits with sign +1
+    # a complex tensordot can leave the vector unit in a state that slows
+    # every later libm call, theta's included, as _transfer_contract notes;
+    # one numpy elementwise call clears it for the tests that follow
+    np.abs(vec.reshape(-1)[-1:])
     return complex(vec[(1,) * n])
 
 
@@ -287,3 +298,94 @@ def perm_sum_loop(G, F):
                     t *= f
                 sums[S | 1 << j] += t
     return sums[-1]
+
+
+# ---------------------------------------------------------------------------
+# Sign configurations and height fields of the domain-wall ice
+# configurations, in the enumerator's depth-first order; the tests check
+# the boundary conditions, the ice rule and the height dictionary on them,
+# and rebuild the elliptic sum face by face from them.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SignConfig:
+    """Edge signs of one ice configuration; arrays are indexed [i-1, j-1]."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    delta: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.alpha.shape[0]
+
+    @classmethod
+    def from_states(cls, states):
+        """Assemble from the n + 1 column states: states[i - 1] and states[i]
+        are the right- and left-edge signs of column i, row j at index j - 1.
+        Sign conservation fixes the rest: gamma_j = 1 + sum over l >= j of
+        (beta_l - delta_l), and alpha is gamma shifted up one row, +1 on top.
+        """
+        s = np.array(states, dtype=np.int8)
+        beta, delta = s[:-1], s[1:]
+        gamma = 1 + np.flip(np.cumsum(np.flip(beta - delta, 1), 1, np.int8), 1)
+        alpha = np.roll(gamma, -1, axis=1)
+        alpha[:, -1] = 1
+        return cls(alpha, beta, gamma, delta)
+
+
+def dwbc_sign_configs(n: int):
+    """Yield every SignConfig compatible with domain-wall boundaries,
+    in the deterministic depth-first order of the enumerator."""
+    _check_cap(n, SIZE_CAP, "enumeration")
+
+    def paths(i, masks):
+        if i > n:
+            yield masks
+            return
+        for _, lefts in _column_branches(n, i, masks[-1], lambda *_: _UNIT):
+            yield from paths(i + 1, masks + (lefts,))
+
+    for masks in paths(1, (0,)):
+        yield SignConfig.from_states(
+            [[1 if m >> j & 1 else -1 for j in range(n)] for m in masks])
+
+
+@dataclass(frozen=True)
+class HeightField:
+    """Face heights of an SOS configuration, stored as integer offsets from
+    the corner height d_nn; offsets[i, j] belongs to the face with corners
+    between columns i, i+1 and rows j, j+1, for i, j = 0..n."""
+
+    offsets: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    @classmethod
+    def from_signs(cls, cfg: SignConfig) -> "HeightField":
+        n = cfg.n
+        off = np.zeros((n + 1, n + 1), dtype=np.int64)
+        off[n, n] = 0
+        for j in range(n, 0, -1):           # leftmost face column via delta
+            off[n, j - 1] = off[n, j] + cfg.delta[n - 1, j - 1]
+        for i in range(n, 0, -1):           # top face row via alpha
+            off[i - 1, n] = off[i, n] + cfg.alpha[i - 1, n - 1]
+        for i in range(n, 0, -1):           # interior via beta
+            for j in range(n, 0, -1):
+                off[i - 1, j - 1] = off[i - 1, j] + cfg.beta[i - 1, j - 1]
+        return cls(off)
+
+    def heights(self, lam: complex, hbar: complex) -> np.ndarray:
+        """Complex heights d with hbar*d_nn = lam."""
+        return lam / hbar + self.offsets.astype(complex)
+
+    def step_violations(self) -> int:
+        """Count adjacent face pairs whose height difference is not +-1."""
+        d = self.offsets
+        bad = np.sum(np.abs(np.diff(d, axis=0)) != 1)
+        bad += np.sum(np.abs(np.diff(d, axis=1)) != 1)
+        return int(bad)

@@ -9,12 +9,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from dwbc import (Character, EllipticParams, HeightField, ThetaContext,
-                  TrigParams, addition_formula_residual, asm_number,
-                  column_transfer_6v, column_transfer_z,
-                  count_configurations, dwbc_sign_configs,
-                  dybe_residual, dybe_residual_trig, enumerate_6v,
-                  enumerate_sos, gauge_rescale, interpolate, is_on_lattice,
+from dwbc import (Character, EllipticParams, ThetaContext, TrigParams,
+                  addition_formula_residual, asm_number, column_transfer_6v,
+                  column_transfer_z, count_configurations, dybe_residual,
+                  dybe_residual_trig, enumerate_6v, enumerate_sos,
+                  gauge_rescale, interpolate, is_on_lattice,
                   membership_residual, qj_interpolation_residual,
                   recursion_factor, sixv_rmatrix, sos_rmatrix, theta,
                   theta_deriv_at_zero, theta_product_poly,

@@ -177,6 +177,31 @@ def test_bench_rows_past_the_caps(capsys):
                      "sum": list(range(1, 8))}
 
 
+@pytest.mark.parametrize("builder, argv, builds", [
+    ("sos_rmatrix", ("--model", "sos-elliptic", "--n", "4", "--tau", "0.1i"),
+     40),
+    ("sixv_rmatrix", ("--n", "6"), 36),
+    ("trig_sos_rmatrix", ("--model", "sos-trig", "--n", "4"), 40),
+], ids=["sos-elliptic", "six-vertex", "sos-trig"])
+def test_route_all_builds_each_vertex_once(capsys, monkeypatch, builder,
+                                           argv, builds):
+    """One `compute --route all` request hands every route one params
+    object, so its configuration routes build each vertex weight once: at
+    n = 4 the transfer's 40 (i, j, k) include the enumeration's 32, and
+    the six-vertex table at n = 6 has 36 entries."""
+    calls = [0]
+    make = getattr(dwbc.enumeration, builder)
+
+    def counted(*args):
+        calls[0] += 1
+        return make(*args)
+
+    monkeypatch.setattr(dwbc.enumeration, builder, counted)
+    code, _, _ = run_main(capsys, "compute", "--route", "all", *argv)
+    assert code == 0
+    assert calls[0] == builds
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

@@ -10,17 +10,18 @@ import numpy as np
 import pytest
 
 from dwbc import (SIZE_CAP, SUM_CAP, DegenerateParameter,
-                  EllipticParams, HeightField, InvalidParameter,
-                  SignConfig, SizeCap, ThetaContext, TrigParams, asm_number,
-                  column_transfer_6v, column_transfer_trig, column_transfer_z,
-                  count_configurations, dwbc_sign_configs, enumerate_6v,
+                  EllipticParams, InvalidParameter, SizeCap, ThetaContext,
+                  TrigParams, asm_number, column_transfer_6v,
+                  column_transfer_trig, column_transfer_z,
+                  count_configurations, enumerate_6v,
                   enumerate_sos, enumerate_trig_sos, sixv_rmatrix,
                   sos_rmatrix, theta, trig_sos_rmatrix, z_6v_sum,
                   z_izergin, z_sos_elliptic, z_trig_sos)
 from dwbc import enumeration
 
 from helpers import draw_multiplicative, draw_spectral, rel_diff
-from oracles import sixv_bruteforce, transfer_contract_loop
+from oracles import HeightField, dwbc_sign_configs, sixv_bruteforce, \
+    transfer_contract_loop
 
 
 def test_asm_numbers():
@@ -120,21 +121,19 @@ def test_trig_transfer_routes_match_enumeration(rng, n):
     assert rel_diff(column_transfer_trig(pt), enumerate_trig_sos(pt)) < 1e-11
 
 
-def _count_sixv_source_calls(monkeypatch):
-    """Wrap every six-vertex weight source the routes build; returns the
-    one-element list that counts its calls."""
+def _count_source_reads(monkeypatch, kernel):
+    """Wrap the vertex source that the route kernel `kernel` of enumeration
+    receives; returns the one-element list that counts its reads."""
     calls = [0]
-    make = enumeration._sixv_source
+    run = getattr(enumeration, kernel)
 
-    def counted_source(p, rmatrix_fn):
-        source = make(p, rmatrix_fn)
-
+    def counted_kernel(n, source):
         def counted(i, j, k):
             calls[0] += 1
             return source(i, j, k)
-        return counted
+        return run(n, counted)
 
-    monkeypatch.setattr(enumeration, "_sixv_source", counted_source)
+    monkeypatch.setattr(enumeration, kernel, counted_kernel)
     return calls
 
 
@@ -143,7 +142,7 @@ def test_enumeration_expands_each_state_once(monkeypatch):
     each partial filling reads its vertex once: the six-vertex sum at n = 6
     asks its weight source 1,324 times, where a recursion that re-expands a
     state for every path reaching it looks up 184,884 vertex weights."""
-    calls = _count_sixv_source_calls(monkeypatch)
+    calls = _count_source_reads(monkeypatch, "_weight_sum")
     enumerate_6v(_trig(6))
     assert 0 < calls[0] <= 2000     # the memo
     assert calls[0] == 1324         # one read per partial filling and row
@@ -153,7 +152,7 @@ def test_transfer_asks_one_matrix_per_face_offset(monkeypatch):
     """Step (i, j) of the contraction needs the s + 1 face offsets of its
     s = n - j spectator spaces, not one matrix per sign pattern: at n = 6
     that is n * n(n+1)/2 = 126 weight-source calls, against 378."""
-    calls = _count_sixv_source_calls(monkeypatch)
+    calls = _count_source_reads(monkeypatch, "_transfer_contract")
     column_transfer_6v(_trig(6))
     assert calls[0] == 6 * 21
 
@@ -293,7 +292,7 @@ def _exp_ns(passes=7, reps=2000):
 def test_transfer_leaves_libm_at_full_speed():
     """On some BLAS kernels a complex matmul returns with the vector unit in
     a state that slows every later libm call 7-15x, theta's included; the
-    transfer must not hand that state on.  Where a bare matmul does not
+    transfer must not hand that state on, nor its test oracle.  Where a bare matmul does not
     slow cmath.exp at least 3x there is nothing to test."""
     a = np.ones((4, 4), dtype=complex)
     np.abs(a[:1, :1])                   # clears what earlier tests left
@@ -306,6 +305,9 @@ def test_transfer_leaves_libm_at_full_speed():
                     f"against {clean:.0f} ns")
     column_transfer_z(ThetaContext(0.1j), _elliptic(4))
     # a few readings, so that one preempted pass cannot fail the test
+    assert min(_exp_ns() for _ in range(4)) < 2 * clean
+    # nor must the tests' per-pattern oracle, for the tests that follow it
+    transfer_contract_loop(3, lambda i, j, k: enumeration._UNIT)
     assert min(_exp_ns() for _ in range(4)) < 2 * clean
 
 
@@ -428,7 +430,8 @@ def _trig(n, mu=None):
                       [2.0 + 0.1 * k for k in range(n)], 1.3, mu)
 
 
-# (route, its cap, call at size n); every capped public function is listed
+# (route, its cap, call at size n); every capped public function is
+# listed, and the test oracle dwbc_sign_configs
 CAPPED = {
     "enumerate_6v": ("enumeration", SIZE_CAP,
                      lambda c, n: enumerate_6v(_trig(n))),
