@@ -37,8 +37,8 @@ import time
 
 import numpy as np
 
-from .closedform import recursion_factor, z_6v_sum, z_izergin, \
-    z_sos_elliptic, z_trig_sos
+from .closedform import _elliptic_view, recursion_factor, z_6v_sum, \
+    z_izergin, z_sos_elliptic, z_trig_sos
 from .ellpoly import Character, interpolate, membership_residual, \
     addition_formula_residual, qj_interpolation_residual, theta_product_poly, \
     vandermonde_ratio
@@ -283,18 +283,14 @@ def _suite_character(cfg: argparse.Namespace, ctx: ThetaContext, rng) -> list:
     n = max(1, min(cfg.n, 3))
     u, v = _draw_box(rng, n), _draw_box(rng, n)
     lam, hbar = cfg.lam, cfg.hbar
+    p = EllipticParams(u, v, lam, hbar)
     rows = []
     # (side, alpha of the character in that side's variables, seed offset)
     for side, alpha, offset in ((0, lam + sum(v), 11), (1, -lam + sum(u), 41)):
         for i in range(n):
-            def f(x, side=side, i=i):
-                uv = [list(u), list(v)]
-                uv[side][i] = x
-                return z_sos_elliptic(ctx, EllipticParams(*uv, lam, hbar))
-
             res = membership_residual(
-                ctx, f, Character(n, alpha), samples=5,
-                rng=np.random.default_rng(cfg.seed + offset + i))
+                ctx, _elliptic_view(ctx, p, side, i), Character(n, alpha),
+                samples=5, rng=np.random.default_rng(cfg.seed + offset + i))
             rows.append((f"character.{'uv'[side]}{i + 1}", res, cfg.tolerance))
     return rows
 

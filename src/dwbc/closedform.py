@@ -11,13 +11,15 @@ reproducible bit for bit.  The DP's walk, `_plan(n)`, is built once per n.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from functools import cache
 
 import numpy as np
 
-from .errors import DegenerateParameter, InvalidParameter, _check_cap
+from .errors import DegenerateParameter, InvalidParameter, _check_cap, \
+    _check_finite
 from .rmatrix import EllipticParams, TrigParams, _mu_shift, _require_mu
 from .theta import ThetaContext, require_off_lattice, theta
 
@@ -83,36 +85,101 @@ def z_sos_elliptic(ctx: ThetaContext, p: EllipticParams) -> complex:
     symmetric in the u's and in the v's, and obeys the standard recursion
     at u_n = v_n - hbar; the test suite checks all three.
     """
+    return _elliptic_sum(ctx, p, p.u, p.v)[0]
+
+
+def _elliptic_sum(ctx, p, u, v, t=None, ks=(), js=()):
+    """(z_sos_elliptic's value, its theta tables) at the spectral parameters
+    u, v, with lam, hbar, n and the dynamical checks taken from p.
+
+    With t None every table is built afresh.  Otherwise t holds the tables
+    of an earlier call whose u, v differ from these only at u_k for k in ks
+    and v_j for j in js; only the entries those enter are evaluated again,
+    and t is updated in place.  Either way the checks run first, and the
+    theta entries are met in the formula's one order, so an overflow names
+    the argument a fresh build would; a call that raises may leave t part
+    updated, which the next call with the same ks, js repairs.
+    """
     p.validate(ctx)
     n = p.n
     _check_cap(n, SUM_CAP, "permutation-sum")
-    u, v, lam, hbar = p.u, p.v, p.lam, p.hbar
+    lam, hbar = p.lam, p.hbar
+    every = t is None
+    if every:
+        # a fresh build evaluates every entry
+        ks = js = set(range(n))
+        # ratio[k][m] (m < k), the prefactor's ratios; G[a][b] (b < a);
+        # per column j: lo[j][k] = th(u_k - v_j) (k < n - 1),
+        # hi[j][k - 1] = th(u_k - v_j + hbar) (k > 0) and last[j][m], the
+        # final factor of F[m][j]
+        ratio, G = [[0j] * k for k in range(n)], [[0j] * a for a in range(n)]
+        lo = [[0j] * (n - 1) for _ in range(n)]
+        hi = [[0j] * (n - 1) for _ in range(n)]
+        last = [[0j] * n for _ in range(n)]
+    else:
+        ratio, G, lo, hi, last, th_h, tminus = t
     for k in range(n):
         for m in range(k):
-            require_off_lattice(ctx, v[k] - v[m], f"v[{k + 1}] - v[{m + 1}]")
-
-    pref = 1.0 + 0j
+            if k in js or m in js:
+                require_off_lattice(ctx, v[k] - v[m],
+                                    f"v[{k + 1}] - v[{m + 1}]")
     for k in range(n):
         for m in range(k):
-            pref *= theta(ctx, v[k] - v[m] - hbar) / theta(ctx, v[k] - v[m])
-    th_h = theta(ctx, hbar)
-    tminus = [theta(ctx, -lam - m * hbar) for m in range(n)]
-    G = [[theta(ctx, v[a] - v[b] + hbar) / theta(ctx, v[a] - v[b] - hbar)
-          for b in range(a)] for a in range(n)]
-    # lo[j] holds th(u_k - v_j) for k < m, hi[j] th(u_k - v_j + hbar) for
-    # k > 0, each evaluated once and in the order F's entries first need it,
-    # so an overflow names the argument that F built term by term would
-    lo, hi, F = [()] * n, [()] * n, [[] for _ in range(n)]
-    for m, row in enumerate(F):
+            if k in js or m in js:
+                ratio[k][m] = (theta(ctx, v[k] - v[m] - hbar)
+                               / theta(ctx, v[k] - v[m]))
+    if every:
+        th_h = theta(ctx, hbar)
+        tminus = [theta(ctx, -lam - m * hbar) for m in range(n)]
+    for a in range(n):
+        for b in range(a):
+            if a in js or b in js:
+                G[a][b] = (theta(ctx, v[a] - v[b] + hbar)
+                           / theta(ctx, v[a] - v[b] - hbar))
+    for m in range(n):
         for j in range(n):
-            if m:
-                lo[j] += (theta(ctx, u[m - 1] - v[j]),)
-            else:
-                hi[j] = tuple(theta(ctx, u[k] - v[j] + hbar)
-                              for k in range(1, n))
-            row.append(lo[j] + hi[j][m:] + (
-                theta(ctx, u[m] - v[j] - lam - m * hbar) * th_h / tminus[m],))
-    return pref * _perm_sum(G, F)
+            col = j in js
+            if not m:
+                for k in range(1, n):
+                    if col or k in ks:
+                        hi[j][k - 1] = theta(ctx, u[k] - v[j] + hbar)
+            elif col or m - 1 in ks:
+                lo[j][m - 1] = theta(ctx, u[m - 1] - v[j])
+            if col or m in ks:
+                last[j][m] = (theta(ctx, u[m] - v[j] - lam - m * hbar) * th_h
+                              / tminus[m])
+    pref = 1.0 + 0j
+    for row in ratio:
+        for r in row:
+            pref *= r
+    F = [[(*lo[j][:m], *hi[j][m:], last[j][m]) for j in range(n)]
+         for m in range(n)]
+    return pref * _perm_sum(G, F), (ratio, G, lo, hi, last, th_h, tminus)
+
+
+def _elliptic_view(ctx: ThetaContext, p: EllipticParams, side: int, i: int):
+    """x -> z_sos_elliptic(ctx, p with u_i (side 0) or v_i (side 1), 0-based,
+    replaced by x), bit for bit and raising as it would.
+
+    Calls build every theta table until one succeeds; each later call
+    evaluates only the entries x enters (3n or fewer for a u, 7n - 6 for
+    a v), after the checks x can fail: its finiteness, p.validate, the
+    size cap and, for a v, the lattice guards of its pairs.
+    """
+    uv = [list(p.u), list(p.v)]
+    moved = ((i,), ()) if side == 0 else ((), (i,))
+    tables = None
+
+    def view(x):
+        nonlocal tables
+        x = complex(x)
+        uv[side][i] = x
+        if not cmath.isfinite(x):
+            _check_finite(**{"uv"[side]: tuple(uv[side])})
+        z, tables = _elliptic_sum(ctx, p, *uv, tables, *moved)
+        return z
+
+    return view
 
 
 def recursion_factor(ctx: ThetaContext, p: EllipticParams) -> complex:

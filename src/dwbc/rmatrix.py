@@ -281,6 +281,18 @@ def _embed3(r_of_sign, a: int, b: int, c: int) -> np.ndarray:
     return out.reshape(8, 8)
 
 
+# the two sides of the DYBE, each factor left to right as (argument: 0, 1,
+# 2 for x12, x13, x23; shifted by the spectator's sign?; its spaces a, b, c)
+_DYBE_SIDES = (
+    ((0, False, (0, 1, 2)), (1, True, (0, 2, 1)), (2, False, (1, 2, 0))),
+    ((2, True, (1, 2, 0)), (1, False, (0, 2, 1)), (0, True, (0, 1, 2))))
+# the nine (argument, shift) pairs in the order the sides first need them;
+# _embed3 asks for the spectator sign +1, then -1
+_DYBE_KEYS = tuple(dict.fromkeys((x, k if shifted else 0)
+                                 for side in _DYBE_SIDES
+                                 for x, shifted, _ in side for k in (1, -1)))
+
+
 def dybe_residual_from_builder(builder, x12, x13, x23) -> float:
     """Relative max-norm residual of the dynamical Yang-Baxter equation on
     C^2 (x) C^2 (x) C^2 for R(x; k) = builder(x, k), where k in {-1, 0, +1}
@@ -291,20 +303,23 @@ def dybe_residual_from_builder(builder, x12, x13, x23) -> float:
         R12(x12; 0) R13(x13; H2) R23(x23; 0)
             = R23(x23; H1) R13(x13; 0) R12(x12; H3)
 
-    with Hk meaning the shift is driven by the sign on space k.  Returns
-    max|lhs - rhs| / max(1, largest |entry| of either side): at small
-    Im(tau) the weights, and so both sides, grow far past 1.
+    with Hk meaning the shift is driven by the sign on space k.  Each of the
+    nine (argument, shift) matrices is built once, in the order the two
+    products first need them, and all six factors before the first matmul.
+    Returns max|lhs - rhs| / max(1, largest |entry| of either side): at
+    small Im(tau) the weights, and so both sides, grow far past 1.
     """
+    xs = (x12, x13, x23)
+    mats = dict(zip(_DYBE_KEYS, _matrices([builder(xs[x], k)
+                                           for x, k in _DYBE_KEYS])))
 
-    def r(x, k):
-        return builder(x, k).m
+    def factor(x, shifted, spaces):
+        return _embed3(lambda s: mats[x, s if shifted else 0], *spaces)
 
-    lhs = (_embed3(lambda s: r(x12, 0), 0, 1, 2)
-           @ _embed3(lambda s: r(x13, s), 0, 2, 1)
-           @ _embed3(lambda s: r(x23, 0), 1, 2, 0))
-    rhs = (_embed3(lambda s: r(x23, s), 1, 2, 0)
-           @ _embed3(lambda s: r(x13, 0), 0, 2, 1)
-           @ _embed3(lambda s: r(x12, s), 0, 1, 2))
+    (l1, l2, l3), (r1, r2, r3) = ([factor(*f) for f in side]
+                                  for side in _DYBE_SIDES)
+    lhs = l1 @ l2 @ l3
+    rhs = r1 @ r2 @ r3
     scale = max(1.0, np.max(np.abs(lhs)), np.max(np.abs(rhs)))
     return float(np.max(np.abs(lhs - rhs)) / scale)
 

@@ -9,7 +9,7 @@ from dwbc import (DegenerateParameter, EllipticParams, InvalidParameter,
                   weight_kernel, z_6v_sum, z_izergin, z_sos_elliptic,
                   z_trig_sos)
 
-from dwbc.closedform import _perm_sum
+from dwbc.closedform import _elliptic_view, _perm_sum
 from helpers import draw_multiplicative, draw_spectral, rel_diff
 from oracles import (inversions, perm_sum, perm_sum_loop, sixv_bruteforce,
                      sos_elliptic_tables_mp, trig_tables_mp)
@@ -238,13 +238,49 @@ def _elliptic_outcome(ctx, u, v, lam, hbar):
         return str(e)
 
 
+def _view_outcomes(ctx, u, v, lam, hbar, xs):
+    """Run closedform's one-variable view over the sequence xs, for each
+    side and each i; assert that every value, or error message, equals in
+    repr what z_sos_elliptic gives at the replaced parameters, and return
+    the outcomes, one list per view."""
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except (InvalidParameter, DegenerateParameter) as e:
+            return f"{type(e).__name__}: {e}"
+
+    p = EllipticParams(u, v, lam, hbar)
+    runs = []
+    for side in (0, 1):
+        for i in range(len(u)):
+            view, run = _elliptic_view(ctx, p, side, i), []
+            for x in xs:
+                uv = [list(u), list(v)]
+                uv[side][i] = x
+                want = outcome(z_sos_elliptic, ctx,
+                               EllipticParams(*uv, lam, hbar))
+                run.append(outcome(view, x))
+                assert repr(run[-1]) == repr(want), (side, i, x)
+            runs.append(run)
+    return runs
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_elliptic_pair_tables_change_no_bit(ctx_generic, rng, n):
     """z_sos_elliptic slices its F tuples from per-(k, j) theta tables; the
-    value equals the plain loop over F built term by term."""
+    value equals the plain loop over F built term by term.  The
+    one-variable view, which re-evaluates only the entries its variable
+    enters, equals z_sos_elliptic over a sequence that revisits a point,
+    moves by the periods, and puts a v on another (a lattice guard)."""
     u, v = draw_spectral(rng, n), draw_spectral(rng, n)
     want = _elliptic_term_by_term(ctx_generic, u, v, 0.31, 0.17)
     assert _elliptic_outcome(ctx_generic, u, v, 0.31, 0.17) == want
+    if n <= 4:
+        a, b = draw_spectral(rng, 2)
+        xs = [a, b, v[0], a + 1, a + ctx_generic.tau, b]
+        runs = _view_outcomes(ctx_generic, u, v, 0.31, 0.17, xs)
+        guarded = sum(isinstance(z, str) for run in runs for z in run)
+        assert guarded == (n - 1)          # v_i = v_1 for each i > 1
 
 
 def test_elliptic_pair_tables_evaluate_theta_as_term_by_term():
@@ -252,15 +288,17 @@ def test_elliptic_pair_tables_evaluate_theta_as_term_by_term():
     pair tables evaluate no argument that F built term by term does not
     (at n = 1, u - v = 0.33 and u - v + hbar = 0.5 are never needed), and
     meet the arguments in the same order, so an input with several
-    overflowing arguments names the same one."""
+    overflowing arguments names the same one.  The one-variable view names
+    the same argument as z_sos_elliptic, also in a call after one that
+    overflowed and so left its tables part updated."""
     u, v, lam, hbar = [0.33], [0.0], 0.31, 0.17
     got = _elliptic_outcome(ThetaContext(0.001j), u, v, lam, hbar)
     assert isinstance(got, complex)
     assert got == _elliptic_term_by_term(ThetaContext(0.001j), u, v, lam,
                                          hbar)
 
-    rng = np.random.default_rng(7)
-    overflows = 0
+    rng, xrng = np.random.default_rng(7), np.random.default_rng(8)
+    overflows = view_overflows = part_updated = 0
     for _ in range(60):
         n = int(rng.integers(2, 4))
         u = list(rng.uniform(-0.4, 0.4, n))
@@ -269,7 +307,15 @@ def test_elliptic_pair_tables_evaluate_theta_as_term_by_term():
         got = _elliptic_outcome(ThetaContext(0.001j), u, v, 0.05, 0.03)
         assert repr(got) == repr(want)          # a nan equals no value
         overflows += isinstance(want, str)
+        for run in _view_outcomes(ThetaContext(0.001j), u, v, 0.05, 0.03,
+                                  list(xrng.uniform(-0.4, 0.4, 6))):
+            kinds = [isinstance(z, str) for z in run]
+            view_overflows += sum(kinds)
+            # calls on tables that an overflow left part updated
+            part_updated += sum(kinds[k - 1] and not all(kinds[:k - 1])
+                                for k in range(2, len(kinds)))
     assert overflows >= 20     # the draws reach the overflowing arguments
+    assert view_overflows >= 1000 and part_updated >= 30
 
 
 @pytest.mark.parametrize("model", ["six-vertex", "sos-trig", "sos-elliptic"])

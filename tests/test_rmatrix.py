@@ -13,7 +13,7 @@ from dwbc import (DegenerateParameter, EllipticParams, InvalidParameter,
                   enumerate_sos, gauge_rescale, sixv_rmatrix, sos_rmatrix,
                   theta, trig_nondyn_rmatrix, trig_sos_rmatrix,
                   ybe_residual_nondyn, z_izergin, z_sos_elliptic)
-from dwbc.rmatrix import _ADMITTED, _SLOTS, dybe_residual_from_builder
+from dwbc.rmatrix import _ADMITTED, _SLOTS, _embed3, dybe_residual_from_builder
 
 from helpers import draw_spectral
 
@@ -144,6 +144,68 @@ def test_dybe_residual_is_relative_at_small_tau():
     assert dybe_residual_from_builder(exact, t1 - t2, t1 - t3, t2 - t3) < 1e-13
     assert dybe_residual_from_builder(perturbed, t1 - t2, t1 - t3,
                                       t2 - t3) > 1e-9
+
+
+def _dybe_multiply_as_you_build(builder, x12, x13, x23):
+    """dybe_residual_from_builder as it was: each side multiplied while its
+    factors are built, one builder call per factor and spectator sign."""
+    def r(x, k):
+        return builder(x, k).m
+
+    lhs = (_embed3(lambda s: r(x12, 0), 0, 1, 2)
+           @ _embed3(lambda s: r(x13, s), 0, 2, 1)
+           @ _embed3(lambda s: r(x23, 0), 1, 2, 0))
+    rhs = (_embed3(lambda s: r(x23, s), 1, 2, 0)
+           @ _embed3(lambda s: r(x13, 0), 0, 2, 1)
+           @ _embed3(lambda s: r(x12, s), 0, 1, 2))
+    scale = max(1.0, np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+    return float(np.max(np.abs(lhs - rhs)) / scale)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.05j])
+def test_dybe_builds_each_matrix_once(rng, tau):
+    """One residual makes nine builder calls, one per (argument, shift), in
+    the order the multiply-as-you-build loop first asked for each; its value
+    equals that loop's bit for bit, for the elliptic, trigonometric and
+    non-dynamical builders, and with a weight perturbed."""
+    context = ThetaContext(tau)
+    lam, hbar, q, mu = 0.31, 0.17, 1.3, 0.7
+
+    def elliptic(x, k):
+        return sos_rmatrix(context, x, lam + k * hbar, hbar)
+
+    def perturbed(x, k):
+        r = elliptic(x, k)
+        return r._replace(a=r.a * (1 + 1e-6))
+
+    builders = {
+        "elliptic": elliptic, "perturbed": perturbed,
+        "trig": lambda zw, k: trig_sos_rmatrix(*zw, mu * q ** (2 * k), q),
+        "nondyn": lambda zw, k: trig_nondyn_rmatrix(*zw, q),
+    }
+    for name, builder in builders.items():
+        for _ in range(3):
+            t1, t2, t3 = draw_spectral(rng, 3)
+            if name in ("trig", "nondyn"):
+                t1, t2, t3 = (cmath.exp(2j * math.pi * t)
+                              for t in (t1, t2, t3))
+                xs = (t1, t2), (t1, t3), (t2, t3)
+            else:
+                xs = t1 - t2, t1 - t3, t2 - t3
+            calls = {"new": [], "old": []}
+
+            def logged(side, builder=builder):
+                def build(x, k):
+                    calls[side].append((xs.index(x), k))
+                    return builder(x, k)
+                return build
+
+            got = dybe_residual_from_builder(logged("new"), *xs)
+            want = _dybe_multiply_as_you_build(logged("old"), *xs)
+            assert got == want, name
+            assert len(calls["old"]) == 12
+            assert calls["new"] == list(dict.fromkeys(calls["old"]))
+            assert len(calls["new"]) == 9
 
 
 def test_elliptic_to_trig_entrywise():

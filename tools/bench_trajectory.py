@@ -3,19 +3,24 @@ per-layer counts and theta's cost per call, for a parent revision and for
 this checkout.
 
     python3 tools/bench_trajectory.py --parent REV --out BENCH_7.json
+    python3 tools/bench_trajectory.py --parent REV --out BENCH_<N>.json \
+        --pairs 10
 
 Run from the root of a checkout.  The parent revision is exported with
 `git archive` into `.bench_build/<REV>` (ignored by git); the change is
 the checkout itself, as it stands.  For every workload of BENCHMARK.json
-and each of seeds 1-3, at BENCHMARK.json's run length, each tree's own
-`perfbench/run.py --trace 0` runs once, the two runs of a seed back to
-back.  The parent runs first on the first and third seeds and second on
-the second, so that neither tree always takes the later, warmer or cooler
-slot; "run_order" records which tree ran first on each seed.  The file
-holds, per workload and tree, the median of each end-to-end metric over
-the seeds and the summed attempted and failed request counts, with the
-change/parent ratio of each median and, under "pair_ratios", the ratio of
-each seed's pair.
+and each of seeds 1..N, N = --pairs (default 3), at BENCHMARK.json's run
+length, each tree's own `perfbench/run.py --trace 0` runs once, the two
+runs of a seed back to back as one pair.  The parent runs first on odd
+seeds and second on even ones, so that neither tree always takes the
+later, warmer or cooler slot; "run_order" records which tree ran first on
+each seed.  The file holds, per workload and tree, the summed attempted
+and failed request counts and whether every reply was correct, and under
+"pairs", per end-to-end metric, `pair_summary`: each pair's two values,
+each tree's median, the parent's quartiles, the pairs the change won and
+whether the gain rule holds (at least ten pairs, at least nine tenths of
+them won, and a median gain larger than the parent's interquartile
+range).
 
 Per-layer counts come from one `perfbench/run.py --trace 1` run per
 workload and tree, seed 1, at the same run length.  "per_layer" holds
@@ -60,11 +65,11 @@ from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SEEDS = [1, 2, 3]
 TRACE_SEED = 1
 COUNT_UNITS = ("count/req", "computed/req")
 THETA_PASSES = 25
 COLD_RUNS = 5
+MIN_PAIRS = 10      # the gain rule needs at least this many pairs
 
 # argv: PASSES, then NAME=SRC pairs; prints {NAME: {tau: {"median": us,
 # "quartiles": [us, us]} per call, or {"error": message}}}, timing the trees
@@ -158,45 +163,68 @@ def cold_start(trees: dict) -> dict:
     return {side: statistics.median(t) for side, t in times.items()}
 
 
-def summarize(results: list) -> dict:
-    out = {name: statistics.median(r["metrics"][name]["value"] for r in results)
-           for name in results[0]["metrics"]}
-    out["attempted"] = sum(r["attempted"] for r in results)
-    out["failed"] = sum(r["failed"] for r in results)
-    out["correct"] = all(r["correct"] for r in results)
-    return out
+def pair_summary(parent: list, change: list, better: str) -> dict:
+    """The gain rule over pairs of runs: parent[k] and change[k] are pair k,
+    and `better` is "higher" or "lower".  The change wins a pair when it
+    reads better, and a tie counts for neither; the gain is the change's
+    median minus the parent's, signed so that positive is better.  The rule
+    holds when there are at least MIN_PAIRS pairs, the change wins at least
+    nine tenths of them and the gain exceeds the parent's interquartile
+    range."""
+    sign = 1.0 if better == "higher" else -1.0
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    medians = statistics.median(parent), statistics.median(change)
+    gain = sign * (medians[1] - medians[0])
+    return {"parent": list(parent), "change": list(change),
+            "medians": {"parent": medians[0], "change": medians[1]},
+            "parent_quartiles": [q1, q3], "won": won, "pairs": len(parent),
+            "gain": gain,
+            "gain_rule_holds": (len(parent) >= MIN_PAIRS
+                                and 10 * won >= 9 * len(parent)
+                                and gain > q3 - q1)}
+
+
+def tally(results: list) -> dict:
+    return {"attempted": sum(r["attempted"] for r in results),
+            "failed": sum(r["failed"] for r in results),
+            "correct": all(r["correct"] for r in results)}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare with")
     parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--pairs", type=int, default=3, metavar="N",
+                        help="alternating parent/change pairs per workload, "
+                             "on seeds 1..N (default 3)")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, for the parent's quartiles")
+    seeds = list(range(1, args.pairs + 1))
     seconds = spec["run_seconds"]
     trees = {"parent": export(args.parent), "change": ROOT}
     orders = {seed: list(trees)[::-1] if k % 2 else list(trees)
-              for k, seed in enumerate(SEEDS)}
+              for k, seed in enumerate(seeds)}
     workloads = {}
     for w in spec["workloads"]:
         runs = {side: [] for side in trees}
-        for seed in SEEDS:
+        for seed in seeds:
             for side in orders[seed]:
                 runs[side].append(bench(trees[side], w["name"], seed, seconds))
                 print(f"{w['name']} seed {seed} {side}: "
                       f"{runs[side][-1]['metrics']['req_per_s_norm']['value']:.4g} "
                       f"req/s, {runs[side][-1]['failed']} failed", file=sys.stderr)
-        medians = {side: summarize(r) for side, r in runs.items()}
-        medians["ratio"] = {m["name"]: medians["change"][m["name"]]
-                            / medians["parent"][m["name"]]
-                            for m in spec["end_to_end"]}
-        medians["pair_ratios"] = {
-            m["name"]: [c["metrics"][m["name"]]["value"]
-                        / p["metrics"][m["name"]]["value"]
-                        for p, c in zip(runs["parent"], runs["change"])]
+        summary = {side: tally(r) for side, r in runs.items()}
+        summary["pairs"] = {
+            m["name"]: pair_summary(
+                [r["metrics"][m["name"]]["value"] for r in runs["parent"]],
+                [r["metrics"][m["name"]]["value"] for r in runs["change"]],
+                m["better"])
             for m in spec["end_to_end"]}
-        workloads[w["name"]] = medians
+        workloads[w["name"]] = summary
     counts = [m["name"] for m in spec["per_layer"] if m["unit"] in COUNT_UNITS]
     per_layer = {}
     for w in spec["workloads"]:
@@ -214,12 +242,12 @@ def main(argv=None) -> int:
     cold_start_s = cold_start(trees)
 
     report = {
-        "command": ("python3 tools/bench_trajectory.py --parent "
-                    f"{args.parent} --out {args.out}"),
+        "command": " ".join(["python3 tools/bench_trajectory.py",
+                             *(argv if argv is not None else sys.argv[1:])]),
         "parent": trees["parent"].name,
         "change": {"head": git("rev-parse", "HEAD"),
                    "uncommitted_changes": bool(git("status", "--porcelain"))},
-        "seeds": SEEDS,
+        "seeds": seeds,
         "run_order": {str(seed): order for seed, order in orders.items()},
         "seconds": seconds,
         "environment": {"python": platform.python_version(),
