@@ -5,13 +5,18 @@ Two independent routes live here:
 * a sum over every ice configuration compatible with domain-wall
   boundary conditions, built column by column and memoized on the
   (column, right-edge signs) state, the signs held as a bit mask, so each
-  state is expanded once: at n = 6 it asks its weight source 1,324 times
-  and multiplies in 1,989 vertex weights, each read by its weight slot,
-  against 184,884 for a depth-first walk of every configuration;
+  state is expanded once: at n = 6 it multiplies in 1,989 vertex weights,
+  each asked of its weight source and read by its weight slot, against
+  184,884 for a depth-first walk of every configuration;
 * contraction of a product of column transfer matrices, carrying the
   dynamical shift through spectator spaces, one batched matrix product
   per (column, row) step, with one weight matrix per face offset
   (126 weight-source calls at n = 6).
+
+Neither route works out its combinatorics per request: the fillings of
+each column state (`_column_plan`) and the contraction's layout
+(`_transfer_plan`) hold no weights, so each is built once per size and
+process, on first use, and a request only multiplies weights along them.
 
 Both cost exponentially in n and are capped at n <= SIZE_CAP = 6.  Every
 route reaches its vertex weights through `_source`, whose docstring states
@@ -60,43 +65,54 @@ def asm_number(n: int) -> int:
     return num // den
 
 
-def _column_branches(n, i, right, source):
-    """All consistent fillings of column i, given its right-edge signs.
+@cache
+def _column_plan(n, i, right):
+    """The weight-free fillings of column i, given its right-edge signs.
 
     Column states are bit masks: bit j-1 of `right` is set when the sign
-    entering vertex (i, j) from the right is +1.  source(i, j, k) is the
-    RMatrix4 of vertex (i, j) at face offset k.  Returns a list of
-    (column_weight, left_edge_mask).  Rows are filled top-down: each partial
-    filling (weight, alpha, k, lefts) reads its vertex's weights once and
-    takes every (gamma, delta, slot) that _BRANCHES lists for its
-    (alpha, beta), and the bottom edge closes on -1.
+    entering vertex (i, j) from the right is +1.  Rows are filled top-down:
+    each partial filling (alpha, k, lefts) takes every (gamma, delta, slot)
+    that _BRANCHES lists for its (alpha, beta).  Returns (rows, closes):
+    rows holds, per row j from n down to 1, (j, ops) with one op
+    (parent filling, face offset k, weight slot) per new filling, in the
+    order the fillings are made; closes holds (filling, left mask) for the
+    fillings whose bottom edge closes on -1.  Built once per (n, i, right)
+    and process, on first use.
     """
-    fills = [(1.0 + 0j, 1, n - i, 0)]
+    fills, rows = [(1, n - i, 0)], []
     for j in range(n, 0, -1):
         bit = 1 << (j - 1)
         beta = 1 if right & bit else -1
-        fills = [(w * r[slot], gamma, k + delta,
-                  lefts | bit if delta > 0 else lefts)
-                 for w, alpha, k, lefts in fills
-                 for r in (source(i, j, k),)
+        steps = [((p, k, slot), (gamma, k + delta,
+                                 lefts | bit if delta > 0 else lefts))
+                 for p, (alpha, k, lefts) in enumerate(fills)
                  for gamma, delta, slot in _BRANCHES[alpha, beta]]
-    return [(w, lefts) for w, gamma, _, lefts in fills if gamma == -1]
+        rows.append((j, tuple(op for op, _ in steps)))
+        fills = [fill for _, fill in steps]
+    return tuple(rows), tuple((f, lefts) for f, (gamma, _, lefts)
+                              in enumerate(fills) if gamma == -1)
 
 
 def _weight_sum(n, source):
     """Sum of weight products over all domain-wall ice configurations.
 
     from_col(i, right), the summed weight of columns i..n given column i's
-    right-edge mask, is memoized on that state for this call only.  Every
-    column turns one more edge sign to +1 (sum(delta) = sum(beta) + 2), so
-    each path through the n columns ends on the all-plus left boundary."""
+    right-edge mask, is memoized on that state for this call only.  It
+    walks _column_plan(n, i, right), weighing each new filling as its
+    parent's weight times source(i, j, k)[slot]; source(i, j, k) is the
+    RMatrix4 of vertex (i, j) at face offset k.  Every column turns one
+    more edge sign to +1 (sum(delta) = sum(beta) + 2), so each path
+    through the n columns ends on the all-plus left boundary."""
 
     @cache
     def from_col(i, right):
         if i > n:
             return 1.0 + 0j
-        return sum(w * from_col(i + 1, lefts)
-                   for w, lefts in _column_branches(n, i, right, source))
+        rows, closes = _column_plan(n, i, right)
+        ws = [1.0 + 0j]
+        for j, ops in rows:
+            ws = [ws[p] * source(i, j, k)[slot] for p, k, slot in ops]
+        return sum(ws[f] * from_col(i + 1, lefts) for f, lefts in closes)
 
     return from_col(1, 0)
 
@@ -190,6 +206,29 @@ def enumerate_trig_sos(p: TrigParams) -> complex:
     return _weight_sum(p.n, _source(p, "enumeration", _trig))
 
 
+@cache
+def _transfer_plan(n):
+    """_transfer_contract's weight-free layout at size n: (asks, rows).
+
+    asks lists, in row-major (j, c) order, the (row j, face offset
+    s - 2c relative to the column's base n - i) of the s + 1 = n - j + 1
+    matrices each column's row j needs.  rows holds, per row j from 1 to
+    n, (s, take): take[p] indexes into the column's stack of asks the
+    matrix of spectator sign pattern p, whose set bits are its -1 signs.
+    Built once per n and process, on first use.
+    """
+    # minus[p]: the -1 signs in spectator sign pattern p, its set bits
+    minus = np.array([bin(p).count("1") for p in range(2 ** (n - 1))])
+    asks, rows = [], []
+    for j in range(1, n + 1):
+        s = n - j                               # spaces l > j, still in input state
+        take = len(asks) + minus[:2 ** s]
+        take.flags.writeable = False
+        rows.append((s, take))
+        asks += [(j, s - 2 * c) for c in range(s + 1)]
+    return tuple(asks), tuple(rows)
+
+
 def _transfer_contract(n: int, rfn) -> complex:
     """Contract n column transfer matrices between the all-plus (top) and
     all-minus (bottom) boundary states.
@@ -197,23 +236,23 @@ def _transfer_contract(n: int, rfn) -> complex:
     Column i contributes an operator built from n R-matrix factors sharing
     one auxiliary space; rfn(i, j, k) supplies the 4x4 vertex matrix with
     face offset k, where k counts base offset (n - i) plus the signs still
-    held on the rows above j.  The auxiliary line enters at the bottom with
-    sign -1 and must exit at the top with +1.
+    held on the rows above j.  Each column asks for its n(n+1)/2 matrices
+    at once, in _transfer_plan(n)'s order, one per (row, face offset), and
+    each (column, row) step gathers one per sign pattern from that stack.
+    The auxiliary line enters at the bottom with sign -1 and must exit at
+    the top with +1.
     """
     # Quantum state vector over spaces (n, n-1, ..., 1); index 0 means +1.
     vec = np.zeros((2,) * n, dtype=complex)
     vec[(0,) * n] = 1.0
-    # minus[p]: the -1 signs in spectator sign pattern p, its set bits
-    minus = np.array([bin(p).count("1") for p in range(2 ** (n - 1))])
+    asks, rows = _transfer_plan(n)
     for i in range(n, 0, -1):
         w = np.zeros((2,) + vec.shape, dtype=complex)
         w[1] = vec                              # auxiliary enters with sign -1
         base_k = n - i
-        for j in range(1, n + 1):
-            s = n - j                           # spaces l > j, still in input state
-            # one vertex matrix per face offset, gathered for each sign pattern
-            g = _matrices([rfn(i, j, base_k + s - 2 * c)
-                           for c in range(s + 1)])[minus[:2 ** s]]
+        stack = _matrices([rfn(i, j, base_k + dk) for j, dk in asks])
+        for s, take in rows:
+            g = stack[take]
             ws = w.reshape(2, 2 ** s, 2, -1).swapaxes(0, 1)  # pattern first
             w = (g @ ws.reshape(2 ** s, 4, -1)).reshape(ws.shape) \
                 .swapaxes(0, 1).reshape(w.shape)

@@ -2,10 +2,12 @@
 
 Everything here is deliberately written from scratch against the defining
 formulas, without importing any internals from the package, so that the
-library and the oracle cannot share a bug.  The one exception is the last
-section: sign configurations and height fields, which only tests use, walk
-the enumerator's own column step, so that a test can rebuild the sum from
-the configurations the enumerator visits.
+library and the oracle cannot share a bug.  Two sections are exceptions.
+The per-call loops of the configuration routes read the package's ice
+table and matrix layout, since they exist to show that the planned routes
+return the same bits.  Sign configurations and height fields, which only
+tests use, walk the enumerator's own column plan, so that a test can
+rebuild the sum from the configurations the enumerator visits.
 """
 
 import cmath
@@ -16,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dwbc.enumeration import SIZE_CAP, _UNIT, _column_branches
+from dwbc.enumeration import SIZE_CAP, _BRANCHES, _column_plan
 from dwbc.errors import _check_cap
+from dwbc.rmatrix import _matrices
 
 # ---------------------------------------------------------------------------
 # Theta function via the alternating sine series
@@ -301,8 +304,64 @@ def perm_sum_loop(G, F):
 
 
 # ---------------------------------------------------------------------------
+# The configuration routes as loops that work everything out per call, with
+# nothing planned ahead: the library's planned routes must return the same
+# bits and ask their weight source for the same (i, j, k) in the same
+# first-request order.
+#
+# column_descent_loop(n, source) fills each column top-down; every partial
+# filling (weight, alpha, k, lefts) reads source(i, j, k) once and takes
+# each (gamma, delta, slot) that _BRANCHES lists for its (alpha, beta), and
+# the column's fillings are summed, in the order they are made, times the
+# memoized value of the columns to its left.  transfer_row_loop(n, rfn) is
+# the column contraction asking for one stack of s + 1 matrices per
+# (column, row) step.
+# ---------------------------------------------------------------------------
+
+
+def column_descent_loop(n, source):
+    @functools.cache
+    def from_col(i, right):
+        if i > n:
+            return 1.0 + 0j
+        fills = [(1.0 + 0j, 1, n - i, 0)]
+        for j in range(n, 0, -1):
+            bit = 1 << (j - 1)
+            beta = 1 if right & bit else -1
+            fills = [(w * r[slot], gamma, k + delta,
+                      lefts | bit if delta > 0 else lefts)
+                     for w, alpha, k, lefts in fills
+                     for r in (source(i, j, k),)
+                     for gamma, delta, slot in _BRANCHES[alpha, beta]]
+        return sum(w * from_col(i + 1, lefts)
+                   for w, gamma, _, lefts in fills if gamma == -1)
+
+    return from_col(1, 0)
+
+
+def transfer_row_loop(n, rfn):
+    vec = np.zeros((2,) * n, dtype=complex)
+    vec[(0,) * n] = 1.0
+    minus = np.array([bin(p).count("1") for p in range(2 ** (n - 1))])
+    for i in range(n, 0, -1):
+        w = np.zeros((2,) + vec.shape, dtype=complex)
+        w[1] = vec
+        for j in range(1, n + 1):
+            s = n - j
+            g = _matrices([rfn(i, j, (n - i) + s - 2 * c)
+                           for c in range(s + 1)])[minus[:2 ** s]]
+            ws = w.reshape(2, 2 ** s, 2, -1).swapaxes(0, 1)
+            w = (g @ ws.reshape(2 ** s, 4, -1)).reshape(ws.shape) \
+                .swapaxes(0, 1).reshape(w.shape)
+        vec = w[0]
+    np.abs(vec.reshape(-1)[-1:])      # as in transfer_contract_loop
+    return complex(vec[(1,) * n])
+
+
+# ---------------------------------------------------------------------------
 # Sign configurations and height fields of the domain-wall ice
-# configurations, in the enumerator's depth-first order; the tests check
+# configurations, in the enumerator's depth-first order, from the left masks
+# of its column plans; the tests check
 # the boundary conditions, the ice rule and the height dictionary on them,
 # and rebuild the elliptic sum face by face from them.
 # ---------------------------------------------------------------------------
@@ -345,7 +404,7 @@ def dwbc_sign_configs(n: int):
         if i > n:
             yield masks
             return
-        for _, lefts in _column_branches(n, i, masks[-1], lambda *_: _UNIT):
+        for _, lefts in _column_plan(n, i, masks[-1])[1]:
             yield from paths(i + 1, masks + (lefts,))
 
     for masks in paths(1, (0,)):

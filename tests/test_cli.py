@@ -460,6 +460,18 @@ def test_commands_load_no_test_dependency(argv):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_import_builds_no_plan():
+    """The routes' weight-free plans are built on first use, never at
+    import, so importing the package costs none of them."""
+    proc = run_python("-c", "import dwbc\n"
+                      "from dwbc import closedform, enumeration\n"
+                      "print([f.cache_info().currsize for f in (\n"
+                      "    enumeration._column_plan,\n"
+                      "    enumeration._transfer_plan, closedform._plan)])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0]"
+
+
 def test_all_names_resolve():
     assert "TrigParams" in dwbc.__all__
     assert [name for name in dwbc.__all__ if not hasattr(dwbc, name)] == []

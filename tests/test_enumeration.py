@@ -14,14 +14,14 @@ from dwbc import (SIZE_CAP, SUM_CAP, DegenerateParameter,
                   TrigParams, asm_number, column_transfer_6v,
                   column_transfer_trig, column_transfer_z,
                   count_configurations, enumerate_6v,
-                  enumerate_sos, enumerate_trig_sos, sixv_rmatrix,
+                  enumerate_sos, gauge_rescale, enumerate_trig_sos, sixv_rmatrix,
                   sos_rmatrix, theta, trig_sos_rmatrix, z_6v_sum,
                   z_izergin, z_sos_elliptic, z_trig_sos)
 from dwbc import enumeration
 
 from helpers import draw_multiplicative, draw_spectral, rel_diff
-from oracles import HeightField, dwbc_sign_configs, sixv_bruteforce, \
-    transfer_contract_loop
+from oracles import HeightField, column_descent_loop, dwbc_sign_configs, \
+    sixv_bruteforce, transfer_contract_loop, transfer_row_loop
 
 
 def test_asm_numbers():
@@ -139,13 +139,14 @@ def _count_source_reads(monkeypatch, kernel):
 
 def test_enumeration_expands_each_state_once(monkeypatch):
     """The column recursion is memoized on (column, right-edge signs), and
-    each partial filling reads its vertex once: the six-vertex sum at n = 6
-    asks its weight source 1,324 times, where a recursion that re-expands a
-    state for every path reaching it looks up 184,884 vertex weights."""
+    each new partial filling reads its parent's vertex by slot: the
+    six-vertex sum at n = 6 asks its weight source 1,989 times, where a
+    recursion that re-expands a state for every path reaching it looks up
+    184,884 vertex weights."""
     calls = _count_source_reads(monkeypatch, "_weight_sum")
     enumerate_6v(_trig(6))
     assert 0 < calls[0] <= 2000     # the memo
-    assert calls[0] == 1324         # one read per partial filling and row
+    assert calls[0] == 1989         # one read per partial filling made
 
 
 def test_transfer_asks_one_matrix_per_face_offset(monkeypatch):
@@ -155,6 +156,76 @@ def test_transfer_asks_one_matrix_per_face_offset(monkeypatch):
     calls = _count_source_reads(monkeypatch, "_transfer_contract")
     column_transfer_6v(_trig(6))
     assert calls[0] == 6 * 21
+
+
+def _recorded(source, log):
+    """source, appending each (i, j, k) it is asked for to log."""
+    def recording(i, j, k):
+        log.append((i, j, k))
+        return source(i, j, k)
+    return recording
+
+
+def _kernel_sources(n, seed):
+    """{name: make} for a fresh weight source per make() at size n: the
+    three models, a gauge-rescaled elliptic source, and count_configurations'
+    unit source."""
+    rng = np.random.default_rng([seed, n])
+    ctx = ThetaContext(1j)
+    pe = EllipticParams(draw_spectral(rng, n), draw_spectral(rng, n),
+                        0.31, 0.17)
+    pt = TrigParams(draw_multiplicative(rng, n),
+                    draw_multiplicative(rng, n, 1.6, 2.6), 1.3, mu=0.7)
+    rho = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.3, 0.3))
+
+    def gauged(c, x, lam, hbar):
+        return gauge_rescale(sos_rmatrix(c, x, lam, hbar), rho)
+
+    return {"sos": lambda: enumeration._sos(pe, ctx, None),
+            "sixv": lambda: enumeration._sixv(pt, None, None),
+            "trig": lambda: enumeration._trig(pt, None, None),
+            "gauge": lambda: enumeration._sos(pe, ctx, gauged),
+            "unit": lambda: lambda *_: enumeration._UNIT}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_planned_routes_match_the_per_call_loops(n):
+    """The planned column descent and contraction against the loops that
+    work everything out per call: the same bits, and the same distinct
+    (i, j, k) asked for in the same first-request order, so theta meets
+    its arguments (and its overflow messages) as before.  The contraction
+    asks for every matrix in the old order: n * n(n+1)/2 asks."""
+    routes = ((enumeration._weight_sum, column_descent_loop),
+              (enumeration._transfer_contract, transfer_row_loop))
+    for seed in (1, 2):
+        for name, make in _kernel_sources(n, seed).items():
+            for planned, loop in routes:
+                new, old = [], []
+                got = planned(n, _recorded(make(), new))
+                want = loop(n, _recorded(make(), old))
+                assert repr(got) == repr(want), (seed, name, planned)
+                assert list(dict.fromkeys(new)) == list(dict.fromkeys(old))
+            # the last pair run is the contraction's
+            assert new == old and len(new) == n * n * (n + 1) // 2
+
+
+def test_a_new_request_builds_no_plan():
+    """The plans depend on n only: once a size has run, requests with new
+    weights, of any model, find every plan in the cache."""
+    ctx = ThetaContext(1j)
+    enumerate_6v(_trig(6))
+    column_transfer_6v(_trig(6))
+    misses = (enumeration._column_plan.cache_info().misses,
+              enumeration._transfer_plan.cache_info().misses)
+    p = TrigParams([0.9 + 0.1j * k for k in range(6)],
+                   [1.9 - 0.1j * k for k in range(6)], 1.2, mu=0.6)
+    enumerate_6v(p)
+    column_transfer_trig(p)
+    enumerate_sos(ctx, _elliptic(6))
+    column_transfer_z(ctx, _elliptic(6))
+    assert count_configurations(6) == 7436
+    assert (enumeration._column_plan.cache_info().misses,
+            enumeration._transfer_plan.cache_info().misses) == misses
 
 
 def _count_builds(monkeypatch, name):

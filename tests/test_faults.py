@@ -8,6 +8,7 @@ stated here as a known blind spot rather than left untested.
 import json
 import sys
 
+import numpy as np
 import pytest
 
 import dwbc.cli
@@ -20,6 +21,7 @@ TOLERANCE = 1e-9        # the CLI's default --tolerance
 # routes that read the request's shared vertex source; the sum and the
 # Izergin determinant build their own tables
 CONFIGURATION_ROUTES = {"enumerate", "transfer"}
+MODELS = ("sos-elliptic", "sos-trig", "six-vertex")
 
 
 def _run(capsys, *argv):
@@ -150,3 +152,81 @@ def test_weight_fault_is_caught_by_every_dybe_row(capsys, monkeypatch,
         failed = _failed_rows(out)
         assert set(failed) == {f"dybe.elliptic_{t}" for t in range(5)}
         assert 1.5e-8 < max(failed.values()) < 6e-8, failed
+
+
+@pytest.fixture
+def swap_slots(monkeypatch):
+    """swap_slots(x, y, tables) exchanges weight slots x and y in the derived
+    ice tables named in tables: "branches" (enumeration._BRANCHES, which
+    the column plans are built from) and "take" (rmatrix._TAKE, the matrix
+    layout the transfer reads).  Both plan caches are cleared before the
+    fault and after it, so that no plan built from the clean table hides
+    the fault and none built from the faulty one outlives it."""
+    plans = (dwbc.enumeration._column_plan, dwbc.enumeration._transfer_plan)
+
+    def swap(x, y, tables):
+        other = {x: y, y: x}
+        if "branches" in tables:
+            monkeypatch.setattr(dwbc.enumeration, "_BRANCHES", {
+                ab: tuple((gamma, delta, other.get(slot, slot))
+                          for gamma, delta, slot in branches)
+                for ab, branches in dwbc.enumeration._BRANCHES.items()})
+        if "take" in tables:
+            monkeypatch.setattr(dwbc.rmatrix, "_TAKE", np.array(
+                [other.get(slot, slot) for slot in dwbc.rmatrix._TAKE.tolist()]))
+        for plan in plans:
+            plan.cache_clear()
+
+    yield swap
+    for plan in plans:
+        plan.cache_clear()
+
+
+def _compute_all(capsys, model):
+    """The exit codes of `compute --route all --n 4` at each seed, and
+    {seed: {(route a, route b): rel_diff}}."""
+    runs = {seed: _comparisons(capsys, "--model", model, "--route", "all",
+                               "--n", "4", "--seed", str(seed))
+            for seed in SEEDS}
+    return ({code for code, _ in runs.values()},
+            {seed: cmps for seed, (_, cmps) in runs.items()})
+
+
+@pytest.mark.parametrize("tables", [("branches", "take"), ("branches",),
+                                    ("take",)])
+@pytest.mark.parametrize("model", MODELS)
+def test_c_slot_swap_is_caught_through_the_plans(capsys, swap_slots, model,
+                                                 tables):
+    """c and cbar exchanged in the tables named: a comparison fails exactly
+    when one of its two routes reads a faulty table (rel 0.46 to 1.0), the
+    enumeration through its column plans, the transfer through _TAKE.  With
+    both tables swapped the two agree with each other and fail against the
+    sum and the determinant; with _BRANCHES alone, even the
+    enumerate-transfer row fails, so a plan cannot hide the table it was
+    built from."""
+    swap_slots(3, 4, tables)
+    faulty = {"enumerate"} if "branches" in tables else set()
+    faulty |= {"transfer"} if "take" in tables else set()
+    codes, runs = _compute_all(capsys, model)
+    assert codes == {2}
+    for seed, cmps in runs.items():
+        caught = {pair for pair, rel in cmps.items() if rel > TOLERANCE}
+        assert caught == {(a, b) for a, b in cmps
+                          if (a in faulty) != (b in faulty)}, seed
+
+
+@pytest.mark.parametrize("tables", [("branches", "take"), ("branches",),
+                                    ("take",)])
+@pytest.mark.parametrize("model", MODELS)
+def test_b_slot_swap_is_a_known_blind_spot(capsys, swap_slots, model,
+                                          tables):
+    """b and bbar exchanged, in both tables or in either one: every
+    comparison passes in every model.  The exchange moves no route's value
+    past rounding (at most 1.4e-14 relative, seeds 1-3; the six-vertex b
+    and bbar are equal), so no route comparison can see it, and with both
+    tables swapped `check all --n 4` passes too."""
+    swap_slots(1, 2, tables)
+    codes, runs = _compute_all(capsys, model)
+    assert codes == {0}
+    assert all(rel <= TOLERANCE for cmps in runs.values()
+               for rel in cmps.values())
