@@ -72,25 +72,26 @@ def _column_plan(n, i, right):
     Column states are bit masks: bit j-1 of `right` is set when the sign
     entering vertex (i, j) from the right is +1.  Rows are filled top-down:
     each partial filling (alpha, k, lefts) takes every (gamma, delta, slot)
-    that _BRANCHES lists for its (alpha, beta).  Returns (rows, closes):
-    rows holds, per row j from n down to 1, (j, ops) with one op
-    (parent filling, face offset k, weight slot) per new filling, in the
-    order the fillings are made; closes holds (filling, left mask) for the
-    fillings whose bottom edge closes on -1.  Built once per (n, i, right)
-    and process, on first use.
+    that _BRANCHES lists for its (alpha, beta).  Returns (ops, closes).
+    Filling 0 is the empty one; ops holds, in the order the fillings are
+    made, one op (parent filling, row j, face offset k, weight slot) per
+    filling, which is filling 1 + its position.  closes holds (filling,
+    left mask) for the fillings whose bottom edge closes on -1.  Built once
+    per (n, i, right) and process, on first use.
     """
-    fills, rows = [(1, n - i, 0)], []
+    fills, ops = [(0, 1, n - i, 0)], []
     for j in range(n, 0, -1):
         bit = 1 << (j - 1)
         beta = 1 if right & bit else -1
-        steps = [((p, k, slot), (gamma, k + delta,
-                                 lefts | bit if delta > 0 else lefts))
-                 for p, (alpha, k, lefts) in enumerate(fills)
-                 for gamma, delta, slot in _BRANCHES[alpha, beta]]
-        rows.append((j, tuple(op for op, _ in steps)))
-        fills = [fill for _, fill in steps]
-    return tuple(rows), tuple((f, lefts) for f, (gamma, _, lefts)
-                              in enumerate(fills) if gamma == -1)
+        made = []
+        for p, alpha, k, lefts in fills:
+            for gamma, delta, slot in _BRANCHES[alpha, beta]:
+                ops.append((p, j, k, slot))
+                made.append((len(ops), gamma, k + delta,
+                             lefts | bit if delta > 0 else lefts))
+        fills = made
+    return tuple(ops), tuple((f, lefts) for f, gamma, _, lefts in fills
+                             if gamma == -1)
 
 
 def _weight_sum(n, source):
@@ -98,20 +99,21 @@ def _weight_sum(n, source):
 
     from_col(i, right), the summed weight of columns i..n given column i's
     right-edge mask, is memoized on that state for this call only.  It
-    walks _column_plan(n, i, right), weighing each new filling as its
-    parent's weight times source(i, j, k)[slot]; source(i, j, k) is the
-    RMatrix4 of vertex (i, j) at face offset k.  Every column turns one
-    more edge sign to +1 (sum(delta) = sum(beta) + 2), so each path
-    through the n columns ends on the all-plus left boundary."""
+    walks _column_plan(n, i, right), weighing each filling as its parent's
+    weight times source(i, j, k)[slot]; source(i, j, k) is the RMatrix4 of
+    vertex (i, j) at face offset k.  Every column turns one more edge sign
+    to +1 (sum(delta) = sum(beta) + 2), so each path through the n columns
+    ends on the all-plus left boundary."""
 
     @cache
     def from_col(i, right):
         if i > n:
             return 1.0 + 0j
-        rows, closes = _column_plan(n, i, right)
+        ops, closes = _column_plan(n, i, right)
         ws = [1.0 + 0j]
-        for j, ops in rows:
-            ws = [ws[p] * source(i, j, k)[slot] for p, k, slot in ops]
+        grow = ws.append
+        for p, j, k, slot in ops:
+            grow(ws[p] * source(i, j, k)[slot])
         return sum(ws[f] * from_col(i + 1, lefts) for f, lefts in closes)
 
     return from_col(1, 0)
@@ -241,28 +243,34 @@ def _transfer_contract(n: int, rfn) -> complex:
     each (column, row) step gathers one per sign pattern from that stack.
     The auxiliary line enters at the bottom with sign -1 and must exit at
     the top with +1.
+
+    Within a column the state is held pattern first, as a (2^s, 4, rest)
+    array before the step at row j: the spectator signs (spaces n..j+1),
+    then the pair (auxiliary, space j) that the vertex matrix acts on, then
+    spaces j-1..1.  Between steps one transposed copy moves space j+1 out of
+    the pattern and into the pair, and space j into the rest.
     """
     # Quantum state vector over spaces (n, n-1, ..., 1); index 0 means +1.
-    vec = np.zeros((2,) * n, dtype=complex)
-    vec[(0,) * n] = 1.0
+    vec = np.zeros(2 ** n, dtype=complex)
+    vec[0] = 1.0
     asks, rows = _transfer_plan(n)
     for i in range(n, 0, -1):
-        w = np.zeros((2,) + vec.shape, dtype=complex)
-        w[1] = vec                              # auxiliary enters with sign -1
         base_k = n - i
         stack = _matrices([rfn(i, j, base_k + dk) for j, dk in asks])
+        x = np.zeros((2 ** (n - 1), 4, 1), dtype=complex)
+        x[:, 2:, 0] = vec.reshape(-1, 2)        # auxiliary enters with sign -1
         for s, take in rows:
-            g = stack[take]
-            ws = w.reshape(2, 2 ** s, 2, -1).swapaxes(0, 1)  # pattern first
-            w = (g @ ws.reshape(2 ** s, 4, -1)).reshape(ws.shape) \
-                .swapaxes(0, 1).reshape(w.shape)
-        vec = w[0]                              # auxiliary exits with sign +1
+            x = stack[take] @ x
+            if s:
+                x = x.reshape(2 ** (s - 1), 2, 2, 2, -1).swapaxes(1, 2) \
+                    .reshape(2 ** (s - 1), 4, -1)
+        vec = x[0, :2].reshape(-1)              # auxiliary exits with sign +1
     # A complex matmul can return with the upper halves of the AVX-512
     # registers dirty (seen with OpenBLAS 0.3.31's SkylakeX kernels); every
     # later libm call, theta's cmath.exp included, then ran 7-15x slower
     # until some AVX routine cleared them.  numpy's elementwise loops do.
-    np.abs(vec.reshape(-1)[-1:])
-    return complex(vec[(1,) * n])
+    np.abs(vec[-1:])
+    return complex(vec[-1])
 
 
 def column_transfer_z(ctx: ThetaContext, p: EllipticParams) -> complex:
