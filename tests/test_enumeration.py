@@ -14,9 +14,9 @@ from dwbc import (SIZE_CAP, SUM_CAP, DegenerateParameter,
                   TrigParams, asm_number, column_transfer_6v,
                   column_transfer_trig, column_transfer_z,
                   count_configurations, enumerate_6v,
-                  enumerate_sos, gauge_rescale, enumerate_trig_sos, sixv_rmatrix,
-                  sos_rmatrix, theta, trig_sos_rmatrix, z_6v_sum,
-                  z_izergin, z_sos_elliptic, z_trig_sos)
+                  enumerate_sos, enumerate_trig_sos, gauge_rescale,
+                  sixv_rmatrix, sos_rmatrix, theta, trig_sos_rmatrix,
+                  z_6v_sum, z_izergin, z_sos_elliptic, z_trig_sos)
 from dwbc import enumeration
 
 from helpers import draw_multiplicative, draw_spectral, rel_diff
