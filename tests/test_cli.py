@@ -368,6 +368,30 @@ def test_exit_one_on_mu_shift_overflow(capsys, argv):
     assert "mu*q^(2k) overflows" in err
 
 
+_Q2 = "has q^2 = 1: q - 1/q vanishes and with it every c-weight"
+_MU = "hits 1 (dynamical denominator 1 - mu*q^(2k) vanishes)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("compute", "--q", "0"), "q must be nonzero"),
+    (("compute", "--q", "1", "--n", "4"), f"q = (1+0j) {_Q2}"),
+    (("compute", "--q", "-1", "--route", "determinant"), f"q = (-1+0j) {_Q2}"),
+    (("compute", "--model", "sos-trig", "--mu", "1"),
+     f"mu*q^(2*0) = (1+0j) {_MU}"),
+    (("compute", "--model", "sos-trig", "--mu", "1.69", "--q", "1.3",
+      "--n", "2"), f"mu*q^(2*-1) = (0.9999999999999998+0j) {_MU}"),
+    (("bench", "--model", "sos-trig", "--q", "1"), f"q = (1+0j) {_Q2}"),
+    (("check", "--q", "0"), "q must be nonzero"),
+], ids=["q-zero", "q-one", "q-minus-one-determinant", "mu-one",
+        "mu-offset-minus-one", "bench-q-one", "check-q-zero"])
+def test_exit_one_on_trig_rule(capsys, argv, message):
+    """The trigonometric parameter rules, q != 0, q^2 != 1 and
+    mu*q^(2k) != 1 for |k| <= 2n, each refuse the request with one exact
+    line on stderr."""
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out, err) == (1, "", f"parameter error: {message}\n")
+
+
 def test_exit_two_on_tolerance_failure(capsys):
     code, out, _ = run_main(capsys, "check", "symmetry", "--n", "2",
                             "--tol", "1e-30")
