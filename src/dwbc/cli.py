@@ -368,7 +368,7 @@ def _suite_degeneration(cfg: argparse.Namespace, ctx: ThetaContext, rng) -> list
 def _suite_appendix(cfg: argparse.Namespace, ctx: ThetaContext, rng) -> list:
     rows = []
 
-    for n in (2, max(2, min(cfg.n, 6))):
+    for n in sorted({2, max(2, min(cfg.n, 6))}):
         zeros = _draw_box(rng, n)
         nodes = _draw_box(rng, n)
         alpha = sum(zeros)

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import DegenerateParameter, InvalidParameter, _check_cap, \
     _check_finite
-from .rmatrix import EllipticParams, TrigParams, _mu_shift, _require_mu
+from .rmatrix import EllipticParams, TrigParams, _cfac, _mu_shift, \
+    _require_mu
 from .theta import ThetaContext, require_off_lattice, theta
 
 # Accuracy, not time, bounds the sums.  Against a 50-digit reference, on
@@ -223,7 +224,7 @@ def _guard_distinct(values, label, q=None):
 def _cfac_power(q: complex, n: int) -> complex:
     """(q - 1/q)^n, the six-vertex prefactor; overflow is a parameter error."""
     try:
-        return (q - 1.0 / q) ** n
+        return _cfac(q) ** n
     except OverflowError:
         raise InvalidParameter(f"(q - 1/q)^n overflows at q = {q}, n = {n}") from None
 
@@ -240,7 +241,6 @@ def z_izergin(p: TrigParams) -> complex:
     a RuntimeWarning is emitted when the matrix condition number exceeds
     1e12, since digits are then lost to near-coinciding parameters.
     """
-    p.validate()
     n = p.n
     z, w, q = p.z, p.w, p.q
     _guard_distinct(z, "z")
@@ -313,7 +313,6 @@ def z_6v_sum(p: TrigParams) -> complex:
                          * prod_{i>k} (q z_i - w_sig(k)/q)
                          * prod_{i<k} (z_i - w_sig(k))
     """
-    p.validate()
     pref, G, F = _trig_tables(
         p, lambda: math.prod(p.w, start=_cfac_power(p.q, p.n)))
     return pref * _perm_sum(G, F)
@@ -336,12 +335,11 @@ def z_trig_sos(p: TrigParams) -> complex:
     factor prod_{k,j} 2 pi i e^(pi i (u_k + v_j)).
     """
     mu = _require_mu(p)
-    p.validate()
     pref, G, F = _trig_tables(p)
     n = p.n
     z, w, q = p.z, p.w, p.q
     qk = [_mu_shift(mu, q, m) for m in range(n)]
-    cfac = q - 1.0 / q
+    cfac = _cfac(q)
     F = [[row[j] + ((z[m] - w[j] * qk[m]) * cfac / (1.0 - qk[m]),)
           for j in range(n)] for m, row in enumerate(F)]
     return pref * _perm_sum(G, F)

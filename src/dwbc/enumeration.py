@@ -44,16 +44,13 @@ from math import factorial
 import numpy as np
 
 from .errors import _check_cap
-from .rmatrix import _ADMITTED, _SLOTS, EllipticParams, RMatrix4, \
-    TrigParams, _matrices, _mu_shift, _require_mu, sixv_rmatrix, \
-    sos_rmatrix, trig_sos_rmatrix
+from .rmatrix import _BRANCHES, EllipticParams, RMatrix4, TrigParams, \
+    _matrices, _mu_shift, _require_mu, sixv_rmatrix, sos_rmatrix, \
+    trig_sos_rmatrix
 from .theta import ThetaContext
 
 SIZE_CAP = 6
 _UNIT = RMatrix4(1, 1, 1, 1, 1)     # every admissible vertex weighs 1
-# (alpha, beta) -> ((gamma, delta, weight slot), ...), in _ADMITTED's order
-_BRANCHES = {ab: tuple(gd + (_SLOTS[ab + gd],) for gd in gds)
-             for ab, gds in _ADMITTED.items()}
 
 
 def asm_number(n: int) -> int:
@@ -128,9 +125,10 @@ def count_configurations(n: int) -> int:
 
 
 def _source(p, route, weights, ctx=None, rmatrix_fn=None):
-    """Check p (on ctx, for the elliptic model) and n against the route's
-    cap, then return the vertex source weights(p, ctx, make), which builds
-    each vertex with make, or with the model's standard builder if None.
+    """Check p's lattice rules on ctx (the elliptic model; a TrigParams was
+    checked when it was built) and n against the route's cap, then return
+    the vertex source weights(p, ctx, make), which builds each vertex with
+    make, or with the model's standard builder if None.
 
     The one shared-source rule: a custom rmatrix_fn gets a source of its
     own, neither read nor recorded.  Every route run on p and ctx shares the
@@ -140,9 +138,7 @@ def _source(p, route, weights, ctx=None, rmatrix_fn=None):
     one context alive.  A build that raises is not recorded.  A source
     builds each matrix on first use, so the first route to ask evaluates
     theta in its own order, and closes over p's fields, never over p."""
-    if ctx is None:
-        p.validate()
-    else:
+    if ctx is not None:
         p.validate(ctx)
     _check_cap(p.n, SIZE_CAP, route)
     if rmatrix_fn:
@@ -172,8 +168,8 @@ def _sixv(p, ctx, make):
 
 def _trig(p, ctx, make):
     """Trigonometric SOS weights: face offset k acts multiplicatively,
-    mu -> mu * q^(2k); TrigParams.validate keeps 1 - mu q^(2k) off zero
-    for every offset |k| <= 2n the routes reach."""
+    mu -> mu * q^(2k); TrigParams keeps 1 - mu q^(2k) off zero for every
+    offset |k| <= 2n the routes reach."""
     mu, z, w, q = _require_mu(p), p.z, p.w, p.q
     make = make or trig_sos_rmatrix
     return cache(lambda i, j, k: make(z[i - 1], w[j - 1],

@@ -6,7 +6,7 @@ alpha + beta = gamma + delta, so an RMatrix4 is just the five weights
 (a, b, bbar, c, cbar).  Its matrix `.m` on C^2 (x) C^2, basis ordered
 (++, +-, -+, --), maps the incoming pair (gamma, delta) to the outgoing
 pair (alpha, beta).  _LAYOUT, the one statement of the ice rule (_SLOTS,
-_TAKE and _ADMITTED are derived from it), places the weights as
+_BRANCHES and _TAKE are derived from it), places the weights as
 
         a  .  .  .
         .  b  cb .          b  = R[+-,+-]   cb = R[+-,-+]
@@ -41,8 +41,10 @@ _SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))   # basis order
 _SLOTS = {_SIGN_PAIRS[row] + _SIGN_PAIRS[col]: slot
           for row, slots in enumerate(_LAYOUT)
           for col, slot in enumerate(slots) if slot < 5}
-# (alpha, beta) -> the (gamma, delta) the ice rule admits, in layout order
-_ADMITTED = {ab: tuple(v[2:] for v in _SLOTS if v[:2] == ab)
+# (alpha, beta) -> ((gamma, delta, weight slot), ...) for each vertex the ice
+# rule admits below (alpha, beta), in layout order
+_BRANCHES = {ab: tuple(v[2:] + (slot,) for v, slot in _SLOTS.items()
+                       if v[:2] == ab)
              for ab in _SIGN_PAIRS}
 _TAKE = np.array(_LAYOUT).ravel()
 
@@ -126,7 +128,12 @@ class EllipticParams:
 class TrigParams:
     """Multiplicative spectral parameters z, w with anisotropy q and, for the
     dynamical trigonometric model, the multiplicative dynamical parameter mu;
-    `_source` as in EllipticParams."""
+    `_source` as in EllipticParams.
+
+    None of the model's rules needs tau, so construction checks them all:
+    q != 0, q^2 != 1 and, when mu is given, 1 - mu q^(2k) off zero for
+    every face offset |k| <= 2n.  A TrigParams that exists is valid.
+    """
 
     z: tuple
     w: tuple
@@ -146,15 +153,7 @@ class TrigParams:
             raise InvalidParameter(
                 f"need equally many z and w parameters, n >= 1; "
                 f"got {len(self.z)} and {len(self.w)}")
-
-    @property
-    def n(self) -> int:
-        return len(self.z)
-
-    def validate(self) -> None:
-        """Check q, and 1 - mu q^(2k) for every face offset |k| <= 2n."""
-        if self.q == 0:
-            raise InvalidParameter("q must be nonzero")
+        _cfac(self.q)                    # q != 0
         if abs(self.q * self.q - 1.0) < _LATTICE_TOL:
             raise DegenerateParameter(
                 f"q = {self.q} has q^2 = 1: q - 1/q vanishes and with it "
@@ -166,6 +165,17 @@ class TrigParams:
                     raise DegenerateParameter(
                         f"mu*q^(2*{k}) = {val} hits 1 (dynamical denominator "
                         f"1 - mu*q^(2k) vanishes)")
+
+    @property
+    def n(self) -> int:
+        return len(self.z)
+
+
+def _cfac(q: complex) -> complex:
+    """q - 1/q, the factor of every c-weight; q = 0 is a parameter error."""
+    if q == 0:
+        raise InvalidParameter("q must be nonzero")
+    return q - 1.0 / q
 
 
 def _require_mu(p: TrigParams) -> complex:
@@ -219,10 +229,8 @@ def sixv_rmatrix(z: complex, w: complex, q: complex) -> RMatrix4:
         a = q z - w / q,  b = z - w  (both diagonals),
         c = (q - 1/q) z,  cbar = (q - 1/q) w.
     """
-    if q == 0:
-        raise InvalidParameter("q must be nonzero")
+    cfac = _cfac(q)
     b = z - w
-    cfac = q - 1.0 / q
     return RMatrix4(q * z - w / q, b, b, cfac * z, cfac * w)
 
 
@@ -230,14 +238,12 @@ def trig_sos_rmatrix(z: complex, w: complex, mu: complex,
                      q: complex) -> RMatrix4:
     """Dynamical trigonometric R-matrix (the Im(tau) -> inf limit of the
     elliptic one, in multiplicative variables z, w, mu)."""
-    if q == 0:
-        raise InvalidParameter("q must be nonzero")
+    cfac = _cfac(q)
     if abs(mu - 1.0) < _LATTICE_TOL:
         raise DegenerateParameter(
             f"mu = {mu} is within {_LATTICE_TOL:g} of 1 (dynamical denominator "
             f"mu - 1 vanishes)")
     d = z - w
-    cfac = q - 1.0 / q
     a = z * q - w / q
     b = d * (mu * q - 1.0 / q) / (mu - 1.0)
     bbar = d * (mu / q - q) / (mu - 1.0)
@@ -249,10 +255,8 @@ def trig_sos_rmatrix(z: complex, w: complex, mu: complex,
 def trig_nondyn_rmatrix(z: complex, w: complex, q: complex) -> RMatrix4:
     """Non-dynamical trigonometric R-matrix (mu -> inf limit); differs from
     the six-vertex matrix only by the gauge factor q on the b-weights."""
-    if q == 0:
-        raise InvalidParameter("q must be nonzero")
+    cfac = _cfac(q)
     d = z - w
-    cfac = q - 1.0 / q
     return RMatrix4(q * z - w / q, q * d, d / q, cfac * z, cfac * w)
 
 

@@ -594,6 +594,21 @@ def test_check_all_suites_pass(capsys):
         assert any(name.startswith(prefix) for name in names), prefix
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_check_rows_are_the_json_residuals(capsys, n):
+    """The rows `check all` prints are the JSON report's residual keys, in
+    order, and no name repeats: a row run twice under one name would show
+    twice in the text and once, with its last value, in the JSON."""
+    for seed in (1, 2, 3):
+        argv = ("check", "all", "--n", str(n), "--seed", str(seed))
+        _, out, _ = run_main(capsys, *argv)
+        rows = [line.split()[0] for line in out.splitlines()
+                if " residual = " in line]
+        _, rep, _ = run_json(capsys, *argv)
+        assert len(set(rows)) == len(rows), seed
+        assert rows == list(rep["residuals"]), seed
+
+
 def test_bench_reports_terms_and_crossover(capsys):
     code, rep, _ = run_json(capsys, "bench", "--n", "4", "--seed", "1")
     assert code == 0

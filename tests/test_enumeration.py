@@ -471,15 +471,13 @@ def test_weight_rebuild_from_sign_configs(ctx, rng, n):
 
 
 def test_trig_routes_share_the_dynamical_guard(rng):
-    """mu*q^(2k) = 1 at a face offset k < 0, which only the routes see;
-    enumeration, transfer and the permutation sum reject it alike."""
+    """mu*q^(2k) = 1 at a face offset k < 0, which only the routes reach.
+    TrigParams rejects it when it is built, so enumeration, transfer and
+    the permutation sum share one guard and none is handed such a mu."""
     n = 2
-    pt = TrigParams(draw_multiplicative(rng, n),
-                    draw_multiplicative(rng, n, 1.6, 2.6), 1.3,
-                    mu=1.6900000000169)
-    for route in (enumerate_trig_sos, column_transfer_trig, z_trig_sos):
-        with pytest.raises(DegenerateParameter, match=r"mu\*q"):
-            route(pt)
+    z, w = draw_multiplicative(rng, n), draw_multiplicative(rng, n, 1.6, 2.6)
+    with pytest.raises(DegenerateParameter, match=r"mu\*q"):
+        TrigParams(z, w, 1.3, mu=1.6900000000169)
 
 
 def test_trig_routes_share_the_mu_requirement():

@@ -182,6 +182,55 @@ def swap_slots(monkeypatch):
         plan.cache_clear()
 
 
+# the six admissible vertices (alpha, beta, gamma, delta) -> weight name,
+# written out rather than derived from rmatrix._LAYOUT
+SIX_VERTICES = {
+    (+1, +1, +1, +1): "a", (-1, -1, -1, -1): "a",
+    (+1, -1, +1, -1): "b", (-1, +1, -1, +1): "bbar",
+    (-1, +1, +1, -1): "c", (+1, -1, -1, +1): "cbar",
+}
+BASIS = ((1, 1), (1, -1), (-1, 1), (-1, -1))    # the 4x4 matrices' basis
+
+
+def _ice_table_faults():
+    """{(table, vertex): weight name it reads} for each vertex at which a
+    table the routes read disagrees with SIX_VERTICES: "branches"
+    (enumeration._BRANCHES, the vertices the column plans take) and "take"
+    (rmatrix._TAKE, the slot of each entry of the transfer's matrices,
+    row (alpha, beta) and column (gamma, delta); slot 5 is a zero)."""
+    names = RMatrix4._fields + (None,)
+    reads = {
+        "branches": {ab + (gamma, delta): names[slot]
+                     for ab, listed in dwbc.enumeration._BRANCHES.items()
+                     for gamma, delta, slot in listed},
+        "take": {BASIS[k // 4] + BASIS[k % 4]: names[slot]
+                 for k, slot in enumerate(dwbc.rmatrix._TAKE.tolist())},
+    }
+    return {(table, v): read.get(v) for table, read in reads.items()
+            for v in read.keys() | SIX_VERTICES.keys()
+            if read.get(v) != SIX_VERTICES.get(v)}
+
+
+def test_ice_tables_match_the_six_vertices():
+    """Both tables the configuration routes read give every vertex its
+    weight, the vertices the ice rule forbids none."""
+    assert _ice_table_faults() == {}
+
+
+@pytest.mark.parametrize("tables", [("branches", "take"), ("branches",),
+                                    ("take",)])
+@pytest.mark.parametrize("x, y", [(1, 2), (3, 4)], ids=["b-bbar", "c-cbar"])
+def test_ice_table_audit_flags_a_slot_swap(swap_slots, x, y, tables):
+    """The audit names, in each table swapped, the vertices of both weights
+    exchanged, and nothing else: the b-bbar swap, which no route
+    comparison sees, included."""
+    swap_slots(x, y, tables)
+    swapped = (RMatrix4._fields[x], RMatrix4._fields[y])
+    assert set(_ice_table_faults()) == {
+        (table, v) for table in tables
+        for v, name in SIX_VERTICES.items() if name in swapped}
+
+
 def _compute_all(capsys, model):
     """The exit codes of `compute --route all --n 4` at each seed, and
     {seed: {(route a, route b): rel_diff}}."""
@@ -224,7 +273,9 @@ def test_b_slot_swap_is_a_known_blind_spot(capsys, swap_slots, model,
     comparison passes in every model.  The exchange moves no route's value
     past rounding (at most 1.4e-14 relative, seeds 1-3; the six-vertex b
     and bbar are equal), so no route comparison can see it, and with both
-    tables swapped `check all --n 4` passes too."""
+    tables swapped `check all --n 4` passes too.  The runtime checks stay
+    blind to it; tier-1 sees it, since test_ice_table_audit_flags_a_slot_swap
+    reads both tables vertex by vertex against SIX_VERTICES."""
     swap_slots(1, 2, tables)
     codes, runs = _compute_all(capsys, model)
     assert codes == {0}

@@ -13,7 +13,7 @@ from dwbc import (DegenerateParameter, EllipticParams, InvalidParameter,
                   enumerate_sos, gauge_rescale, sixv_rmatrix, sos_rmatrix,
                   theta, trig_nondyn_rmatrix, trig_sos_rmatrix,
                   ybe_residual_nondyn, z_izergin, z_sos_elliptic)
-from dwbc.rmatrix import _ADMITTED, _SLOTS, _embed3, dybe_residual_from_builder
+from dwbc.rmatrix import _BRANCHES, _SLOTS, _embed3, dybe_residual_from_builder
 
 from helpers import draw_spectral
 
@@ -296,17 +296,18 @@ def test_dynamical_range_is_checked_once_per_context(monkeypatch):
 
 
 def test_trig_params_validation():
-    TrigParams([2.0], [3.0], 1.3).validate()
-    TrigParams([2.0], [3.0], 1.3, mu=0.7).validate()
+    """A TrigParams is checked when it is built."""
+    TrigParams([2.0], [3.0], 1.3)
+    TrigParams([2.0], [3.0], 1.3, mu=0.7)
     with pytest.raises(InvalidParameter):
-        TrigParams([2.0], [3.0], 0.0).validate()
+        TrigParams([2.0], [3.0], 0.0)
     with pytest.raises(DegenerateParameter):
-        TrigParams([2.0], [3.0], 1.0).validate()       # q^2 = 1
+        TrigParams([2.0], [3.0], 1.0)       # q^2 = 1
     with pytest.raises(DegenerateParameter):
-        TrigParams([2.0], [3.0], 1.3, mu=1.0).validate()
+        TrigParams([2.0], [3.0], 1.3, mu=1.0)
     with pytest.raises(DegenerateParameter):
         # mu q^{2k} = 1 within the dynamical range
-        TrigParams([2.0, 2.1], [3.0, 3.1], 1.3, mu=1.3 ** -2).validate()
+        TrigParams([2.0, 2.1], [3.0, 3.1], 1.3, mu=1.3 ** -2)
     with pytest.raises(InvalidParameter):
         TrigParams([2.0, 2.1], [3.0], 1.3)
 
@@ -331,17 +332,23 @@ def test_non_finite_input_is_a_named_parameter_error(name, call):
         call()
 
 
-def test_admitted_table_is_the_ice_rule_of_the_layout():
-    listed = {ab + gd for ab, gds in _ADMITTED.items() for gd in gds}
+def test_branch_table_is_the_ice_rule_of_the_layout():
+    admitted = {ab: tuple((gamma, delta) for gamma, delta, _ in branches)
+                for ab, branches in _BRANCHES.items()}
+    listed = {ab + gd for ab, gds in admitted.items() for gd in gds}
     assert listed == set(_SLOTS)
     assert len(listed) == 6
-    for ab, gds in _ADMITTED.items():
+    for ab, gds in admitted.items():
         assert all(sum(ab) == sum(gd) for gd in gds)
+    # each branch carries the weight slot _SLOTS gives its vertex
+    assert all(_SLOTS[ab + (gamma, delta)] == slot
+               for ab, branches in _BRANCHES.items()
+               for gamma, delta, slot in branches)
     # the order fixes the descent order of the configuration routes
-    assert _ADMITTED[1, -1] == _ADMITTED[-1, 1] == ((1, -1), (-1, 1))
+    assert admitted[1, -1] == admitted[-1, 1] == ((1, -1), (-1, 1))
 
 
 def test_mu_near_one_is_degenerate_for_the_builder():
-    # the same 1e-10 tolerance as TrigParams.validate
+    # the same 1e-10 tolerance as TrigParams' mu rule
     with pytest.raises(DegenerateParameter, match="within 1e-10 of 1"):
         trig_sos_rmatrix(2.0, 3.0, 1 + 5e-11, 1.3)

@@ -2,25 +2,26 @@
 per-layer counts and theta's cost per call, for a parent revision and for
 this checkout.
 
-    python3 tools/bench_trajectory.py --parent REV --out BENCH_7.json
-    python3 tools/bench_trajectory.py --parent REV --out BENCH_<N>.json \
-        --pairs 10
+    python3 tools/bench_trajectory.py --parent REV --out BENCH_<N>.json
+    python3 tools/bench_trajectory.py --parent REV --out smoke.json \
+        --pairs 2
 
 Run from the root of a checkout.  The parent revision is exported with
 `git archive` into `.bench_build/<REV>` (ignored by git); the change is
 the checkout itself, as it stands.  For every workload of BENCHMARK.json
-and each of seeds 1..N, N = --pairs (default 3), at BENCHMARK.json's run
-length, each tree's own `perfbench/run.py --trace 0` runs once, the two
-runs of a seed back to back as one pair.  The parent runs first on odd
-seeds and second on even ones, so that neither tree always takes the
-later, warmer or cooler slot; "run_order" records which tree ran first on
-each seed.  The file holds, per workload and tree, the summed attempted
-and failed request counts and whether every reply was correct, and under
-"pairs", per end-to-end metric, `pair_summary`: each pair's two values,
-each tree's median, the parent's quartiles, the pairs the change won and
-whether the gain rule holds (at least ten pairs, at least nine tenths of
-them won, and a median gain larger than the parent's interquartile
-range).
+and each of seeds 1..N, at BENCHMARK.json's run length, each tree's own
+`perfbench/run.py --trace 0` runs once, the two runs of a seed back to
+back as one pair.  N = --pairs defaults to MIN_PAIRS = 10, the fewest the
+gain rule accepts; the floor, 2, makes a smoke run.  The parent runs first
+on odd seeds and second on even ones, so that neither tree always takes
+the later, warmer or cooler slot; "run_order" records which tree ran
+first on each seed.  The file holds, per workload and tree, the summed
+attempted and failed request counts and whether every reply was correct,
+and under "pairs", per end-to-end metric, `pair_summary`: each pair's two
+values, each tree's median, the parent's quartiles, the pairs the change
+won and whether the gain rule holds (at least ten pairs, at least nine
+tenths of them won, and a median gain larger than the parent's
+interquartile range).
 
 Per-layer counts come from one `perfbench/run.py --trace 1` run per
 workload and tree, seed 1, at the same run length.  "per_layer" holds
@@ -195,9 +196,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare with")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=3, metavar="N",
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS, metavar="N",
                         help="alternating parent/change pairs per workload, "
-                             "on seeds 1..N (default 3)")
+                             f"on seeds 1..N (default {MIN_PAIRS}, at least 2)")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
