@@ -7,13 +7,16 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import dwbc.__main__
 import dwbc.cli
 import dwbc.enumeration
-from dwbc import SIZE_CAP, theta, ThetaContext
-from dwbc.cli import REPORT_SCHEMA, draw_parameters, main, parse_complex
+from dwbc import SIZE_CAP, theta, ThetaContext, dybe_residual, \
+    dybe_residual_trig, ybe_residual_nondyn
+from dwbc.cli import REPORT_SCHEMA, _draw_box, draw_parameters, main, \
+    parse_complex
 
 from helpers import rel_diff
 
@@ -635,6 +638,27 @@ def test_bench_reports_terms_and_crossover(capsys):
     last = {row["route"]: row["rel_diff"] for row in rep["results"]
             if row["n"] == 9}
     assert last["sum"] == last["determinant"] > 1e-3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_check_dybe_rows_are_the_residuals_of_the_seeded_draws(capsys, seed):
+    """`check dybe` draws three points from the seeded box per row, in row
+    order: five elliptic rows, five trigonometric, two non-dynamical.  Each
+    JSON residual is, bit for bit, the library's residual at those points
+    and the default tau, lambda, hbar, q and mu."""
+    _, rep, _ = run_json(capsys, "check", "dybe", "--seed", str(seed))
+    rng = np.random.default_rng(seed)
+    ctx = ThetaContext(1j)
+    want = {}
+    for t in range(5):
+        want[f"dybe.elliptic_{t}"] = dybe_residual(
+            ctx, *_draw_box(rng, 3), 0.31, 0.17)
+    for t in range(5):
+        want[f"dybe.trig_{t}"] = dybe_residual_trig(*_draw_box(rng, 3),
+                                                    0.7, 1.3)
+    for t in range(2):
+        want[f"ybe.nondyn_{t}"] = ybe_residual_nondyn(*_draw_box(rng, 3), 1.3)
+    assert list(rep["residuals"].items()) == list(want.items())
 
 
 @pytest.mark.parametrize("tau", ["0.05i", "0.02i"])
