@@ -76,7 +76,8 @@ _MODELS = {
 MODELS = tuple(_MODELS)
 # every model's list flags, in table order: u, v, z, w
 _LIST_FLAGS = tuple(dict.fromkeys(f for m in _MODELS.values() for f in m[0]))
-ROUTES = ("enumerate", "transfer", "sum", "determinant", "all")
+# every model's route names, in table order, then "all"
+ROUTES = (*dict.fromkeys(r for m in _MODELS.values() for r in m[2]), "all")
 PROXY_TOL = 1e-6
 _NUMBER = {"type": ["number", "null"]}   # null stands for a non-finite value
 
@@ -296,20 +297,14 @@ def _suite_character(cfg: argparse.Namespace, ctx: ThetaContext, rng) -> list:
 
 
 def _suite_dybe(cfg: argparse.Namespace, ctx: ThetaContext, rng) -> list:
-    rows = []
-    for t in range(5):
-        t1, t2, t3 = _draw_box(rng, 3)
-        res = dybe_residual(ctx, t1, t2, t3, cfg.lam, cfg.hbar)
-        rows.append((f"dybe.elliptic_{t}", res, cfg.tolerance))
-    for t in range(5):
-        z1, z2, z3 = _draw_box(rng, 3)
-        res = dybe_residual_trig(z1, z2, z3, cfg.mu, cfg.q)
-        rows.append((f"dybe.trig_{t}", res, cfg.tolerance))
-    for t in range(2):
-        z1, z2, z3 = _draw_box(rng, 3)
-        res = ybe_residual_nondyn(z1, z2, z3, cfg.q)
-        rows.append((f"ybe.nondyn_{t}", res, cfg.tolerance))
-    return rows
+    # (row name, rows, residual at three points drawn afresh for each row)
+    table = (
+        ("dybe.elliptic", 5, lambda t: dybe_residual(ctx, *t, cfg.lam,
+                                                     cfg.hbar)),
+        ("dybe.trig", 5, lambda t: dybe_residual_trig(*t, cfg.mu, cfg.q)),
+        ("ybe.nondyn", 2, lambda t: ybe_residual_nondyn(*t, cfg.q)))
+    return [(f"{name}_{t}", residual(_draw_box(rng, 3)), cfg.tolerance)
+            for name, count, residual in table for t in range(count)]
 
 
 def _suite_degeneration(cfg: argparse.Namespace, ctx: ThetaContext, rng) -> list:

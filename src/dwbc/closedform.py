@@ -4,9 +4,10 @@ Four formulas, each an independent route to values the enumerators also
 produce: a permutation sum for the elliptic SOS model, the matching
 trigonometric sums for the dynamical SOS and six-vertex models, and the
 Izergin determinant for the six-vertex model.  Each sum builds its factor
-tables once and hands them to `_perm_sum`, a dynamic program over subsets
-(n 2^(n-1) steps in place of n! terms) in a fixed order, so sums are
-reproducible bit for bit.  The DP's walk, `_plan(n)`, is built once per n.
+tables in one pass, the two trigonometric sums in `_trig_sum`, and hands
+them to `_perm_sum`, a dynamic program over subsets (n 2^(n-1) steps in
+place of n! terms) in a fixed order, so sums are reproducible bit for bit.
+The DP's walk, `_plan(n)`, is built once per n.
 """
 
 from __future__ import annotations
@@ -119,24 +120,18 @@ def _elliptic_sum(ctx, p, u, v, t=None, ks=(), js=()):
         last = [[0j] * n for _ in range(n)]
     else:
         ratio, G, lo, hi, last, th_h, tminus = t
-    for k in range(n):
-        for m in range(k):
-            if k in js or m in js:
-                require_off_lattice(ctx, v[k] - v[m],
-                                    f"v[{k + 1}] - v[{m + 1}]")
-    for k in range(n):
-        for m in range(k):
-            if k in js or m in js:
-                ratio[k][m] = (theta(ctx, v[k] - v[m] - hbar)
-                               / theta(ctx, v[k] - v[m]))
+    # the v pairs (k, m), m < k, that hold a moved v
+    pairs = [(k, m) for k in range(n) for m in range(k) if k in js or m in js]
+    for k, m in pairs:
+        require_off_lattice(ctx, v[k] - v[m], f"v[{k + 1}] - v[{m + 1}]")
+    for k, m in pairs:
+        ratio[k][m] = theta(ctx, v[k] - v[m] - hbar) / theta(ctx, v[k] - v[m])
     if every:
         th_h = theta(ctx, hbar)
         tminus = [theta(ctx, -lam - m * hbar) for m in range(n)]
-    for a in range(n):
-        for b in range(a):
-            if a in js or b in js:
-                G[a][b] = (theta(ctx, v[a] - v[b] + hbar)
-                           / theta(ctx, v[a] - v[b] - hbar))
+    for k, m in pairs:
+        G[k][m] = (theta(ctx, v[k] - v[m] + hbar)
+                   / theta(ctx, v[k] - v[m] - hbar))
     for m in range(n):
         for j in range(n):
             col = j in js
@@ -280,27 +275,31 @@ def z_izergin(p: TrigParams) -> complex:
     return pref * num / den * det
 
 
-def _trig_tables(p: TrigParams, front=lambda: 1.0 + 0j):
-    """Check the cap and the w denominators; return front() times the pair
-    prefactor prod_{i>j} (w_i/q - q w_j)/(w_i - w_j), and the _perm_sum
-    tables G, F of the trigonometric sums.  front() runs after the cap check,
-    so an oversized n raises SizeCap rather than overflowing (q - 1/q)^n."""
+def _trig_sum(p: TrigParams, mu=None) -> complex:
+    """z_6v_sum(p) with mu None, else z_trig_sos(p) at this mu.  Checks the
+    cap (first, so an oversized n raises SizeCap rather than overflowing
+    (q - 1/q)^n) and the w denominators, then builds the prefactor and the
+    tables G, F in one pass: F[m][j] is (q z_i - w_j/q for i > m), then
+    (z_i - w_j for i < m), then, given mu, row m's dynamical factor."""
     n = p.n
     _check_cap(n, SUM_CAP, "permutation-sum")
     z, w, q = p.z, p.w, p.q
     _guard_distinct(w, "w", q=q)
-    pref = front()
+    pref = math.prod(w, start=_cfac_power(q, n)) if mu is None else 1.0 + 0j
     for i in range(n):
         for j in range(i):
             pref *= (w[i] / q - q * w[j]) / (w[i] - w[j])
     G = [[(q * w[a] - w[b] / q) / (w[a] / q - q * w[b]) for b in range(a)]
          for a in range(n)]
-    # F[m][j] is (q z_i - w_j/q for i > m) then (z_i - w_j for i < m)
     above = [tuple(q * z[i] - w[j] / q for i in range(n)) for j in range(n)]
     below = [tuple(z[i] - w[j] for i in range(n)) for j in range(n)]
-    F = [[above[j][m + 1:] + below[j][:m] for j in range(n)]
-         for m in range(n)]
-    return pref, G, F
+    if mu is not None:
+        qk, cfac = [_mu_shift(mu, q, m) for m in range(n)], _cfac(q)
+    F = [[above[j][m + 1:] + below[j][:m]
+          + (() if mu is None
+             else ((z[m] - w[j] * qk[m]) * cfac / (1.0 - qk[m]),))
+          for j in range(n)] for m in range(n)]
+    return pref * _perm_sum(G, F)
 
 
 def z_6v_sum(p: TrigParams) -> complex:
@@ -313,9 +312,7 @@ def z_6v_sum(p: TrigParams) -> complex:
                          * prod_{i>k} (q z_i - w_sig(k)/q)
                          * prod_{i<k} (z_i - w_sig(k))
     """
-    pref, G, F = _trig_tables(
-        p, lambda: math.prod(p.w, start=_cfac_power(p.q, p.n)))
-    return pref * _perm_sum(G, F)
+    return _trig_sum(p)
 
 
 def z_trig_sos(p: TrigParams) -> complex:
@@ -334,15 +331,7 @@ def z_trig_sos(p: TrigParams) -> complex:
     makes it the Im(tau) -> inf limit of the elliptic formula up to the
     factor prod_{k,j} 2 pi i e^(pi i (u_k + v_j)).
     """
-    mu = _require_mu(p)
-    pref, G, F = _trig_tables(p)
-    n = p.n
-    z, w, q = p.z, p.w, p.q
-    qk = [_mu_shift(mu, q, m) for m in range(n)]
-    cfac = _cfac(q)
-    F = [[row[j] + ((z[m] - w[j] * qk[m]) * cfac / (1.0 - qk[m]),)
-          for j in range(n)] for m, row in enumerate(F)]
-    return pref * _perm_sum(G, F)
+    return _trig_sum(p, _require_mu(p))
 
 
 def weight_kernel(ctx: ThetaContext, p: EllipticParams, vperm) -> complex:

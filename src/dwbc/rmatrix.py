@@ -131,8 +131,8 @@ class TrigParams:
     `_source` as in EllipticParams.
 
     None of the model's rules needs tau, so construction checks them all:
-    q != 0, q^2 != 1 and, when mu is given, 1 - mu q^(2k) off zero for
-    every face offset |k| <= 2n.  A TrigParams that exists is valid.
+    q - 1/q finite, q^2 != 1 and, when mu is given, 1 - mu q^(2k) off zero
+    for every face offset |k| <= 2n.  A TrigParams that exists is valid.
     """
 
     z: tuple
@@ -153,7 +153,7 @@ class TrigParams:
             raise InvalidParameter(
                 f"need equally many z and w parameters, n >= 1; "
                 f"got {len(self.z)} and {len(self.w)}")
-        _cfac(self.q)                    # q != 0
+        _cfac(self.q)                    # q != 0, q - 1/q finite
         if abs(self.q * self.q - 1.0) < _LATTICE_TOL:
             raise DegenerateParameter(
                 f"q = {self.q} has q^2 = 1: q - 1/q vanishes and with it "
@@ -172,10 +172,13 @@ class TrigParams:
 
 
 def _cfac(q: complex) -> complex:
-    """q - 1/q, the factor of every c-weight; q = 0 is a parameter error."""
+    """q - 1/q, every c-weight's factor; q = 0 or an overflow is an error."""
     if q == 0:
         raise InvalidParameter("q must be nonzero")
-    return q - 1.0 / q
+    cfac = q - 1.0 / q
+    if not cmath.isfinite(cfac):
+        raise InvalidParameter(f"q - 1/q overflows at q = {q}")
+    return cfac
 
 
 def _require_mu(p: TrigParams) -> complex:

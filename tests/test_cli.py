@@ -329,6 +329,21 @@ def test_exit_one_on_cfac_power_overflow(capsys, argv):
     assert "(q - 1/q)^n overflows" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "--route", "all"), ("compute", "--route", "determinant"),
+    ("compute", "--route", "enumerate"), ("compute", "--route", "transfer"),
+    ("compute", "--route", "sum"), ("compute", "--model", "sos-trig"),
+    ("bench", "--n", "2"), ("check",), ("check", "dybe"),
+], ids=["all", "determinant", "enumerate", "transfer", "sum", "sos-trig",
+        "bench", "check", "check-dybe"])
+def test_exit_one_on_infinite_cfac(capsys, argv):
+    """A q so small that q - 1/q overflows is refused where the
+    trigonometric rules are checked, before any route or residual runs."""
+    code, out, err = run_main(capsys, *argv, "--q", "1e-310")
+    assert (code, out, err) == (
+        1, "", "parameter error: q - 1/q overflows at q = (1e-310+0j)\n")
+
+
 def test_exit_one_on_mu_near_one(capsys):
     # the R-matrix builder shares the routes' tolerance for mu - 1, so the
     # check is refused as degenerate instead of reporting huge residuals

@@ -14,7 +14,11 @@ import pytest
 import dwbc.cli
 import dwbc.enumeration
 import dwbc.rmatrix
-from dwbc import RMatrix4
+from dwbc import EllipticParams, RMatrix4, ThetaContext, TrigParams, \
+    gauge_rescale
+from dwbc.cli import _draw_box
+
+from helpers import rel_diff
 
 SEEDS = (1, 2, 3)
 TOLERANCE = 1e-9        # the CLI's default --tolerance
@@ -281,3 +285,58 @@ def test_b_slot_swap_is_a_known_blind_spot(capsys, swap_slots, model,
     assert codes == {0}
     assert all(rel <= TOLERANCE for cmps in runs.values()
                for rel in cmps.values())
+
+
+# model -> (builder the configuration routes read, its parameters from the
+# two box draws, the routes); each builder takes its dynamical argument,
+# lam or mu, third
+FACE_GAUGE = {
+    "sos-elliptic": ("sos_rmatrix", lambda a, b: (
+        ThetaContext(0.9j), EllipticParams(a, b, 0.31 + 0.1j, 0.17)),
+        ("enumerate_sos", "column_transfer_z")),
+    "sos-trig": ("trig_sos_rmatrix", lambda a, b: (
+        TrigParams(a, b, 1.3, 0.7),),
+        ("enumerate_trig_sos", "column_transfer_trig")),
+}
+
+
+def _gauge_moves(monkeypatch, model, per_vertex):
+    """Each configuration route's relative move in Z, on fresh params at
+    n = 3-5 over three draws, when the builder's b and bbar go to r b and
+    bbar / r: r drawn once per dynamical argument, that is per face
+    offset, or, with per_vertex, afresh for every vertex matrix built."""
+    builder, make_args, routes = FACE_GAUGE[model]
+    make = getattr(dwbc.enumeration, builder)
+    moves = []
+    for n in (3, 4, 5):
+        for draw in range(3):
+            rng = np.random.default_rng([draw, n])
+            a, b = _draw_box(rng, n), _draw_box(rng, n)
+            for name in routes:
+                route, rs = getattr(dwbc.enumeration, name), {}
+
+                def gauged(*args):
+                    key = len(rs) if per_vertex else args[2]
+                    if key not in rs:
+                        rs[key] = complex(rng.uniform(0.5, 1.5),
+                                          rng.uniform(-0.3, 0.3))
+                    return gauge_rescale(make(*args), rs[key])
+
+                base = route(*make_args(a, b))
+                monkeypatch.setattr(dwbc.enumeration, builder, gauged)
+                moves.append(rel_diff(route(*make_args(a, b)), base))
+                monkeypatch.setattr(dwbc.enumeration, builder, make)
+    return moves
+
+
+@pytest.mark.parametrize("model", FACE_GAUGE)
+def test_random_face_gauge_leaves_the_configuration_routes(monkeypatch,
+                                                           model):
+    """b -> r b, bbar -> bbar / r with r random per face offset is a gauge
+    of the SOS models: every horizontal edge inside the lattice is the
+    right edge of one vertex and the left edge of the next, against the
+    same face.  Enumeration and transfer both keep Z to 1e-12 (largest move
+    4.7e-14, sos-trig).  Drawn per vertex matrix instead, r is no gauge,
+    and Z moves by more than 1e-3 (at least 0.15): the probe can fail."""
+    assert max(_gauge_moves(monkeypatch, model, per_vertex=False)) < 1e-12
+    assert min(_gauge_moves(monkeypatch, model, per_vertex=True)) > 1e-3
