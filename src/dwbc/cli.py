@@ -166,24 +166,14 @@ def _rel_matrix(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / scale
 
 
-def _timed(fn, *args):
-    t0 = time.perf_counter()
-    val = fn(*args)
-    return val, (time.perf_counter() - t0) * 1000.0
-
-
-def _cjson(x: complex) -> list:
-    x = complex(x)
-    return [x.real, x.imag]
-
-
 def _config_echo(cfg: argparse.Namespace) -> dict:
     out = {
         "command": cfg.command, "model": cfg.model, "n": cfg.n,
         "seed": cfg.seed, "tolerance": cfg.tolerance,
         "format": cfg.output_format,
-        "tau": _cjson(cfg.tau), "lambda": _cjson(cfg.lam),
-        "hbar": _cjson(cfg.hbar), "q": _cjson(cfg.q), "mu": _cjson(cfg.mu),
+        # a flag left at its default holds a float
+        "tau": complex(cfg.tau), "lambda": complex(cfg.lam),
+        "hbar": complex(cfg.hbar), "q": complex(cfg.q), "mu": complex(cfg.mu),
     }
     if cfg.command == "compute":
         out["route"] = cfg.route
@@ -192,7 +182,7 @@ def _config_echo(cfg: argparse.Namespace) -> dict:
     for name in _LIST_FLAGS:
         lst = getattr(cfg, name)
         if lst is not None:
-            out[name] = [_cjson(x) for x in lst]
+            out[name] = list(lst)
     return out
 
 
@@ -204,21 +194,26 @@ _ROUTE_COST = {"enumerate": lambda n: asm_number(n),
 
 
 def _run_routes(cfg: argparse.Namespace, a: list, b: list, route: str) -> list:
-    """(name, value, ms) for the route of cfg.model named by route, or for
-    each of its routes when route is 'all', run in report order on the
-    column parameters a and row parameters b.  'all' drops a route whose
-    library call raises SizeCap; a named route passes the error on."""
+    """The result row {"route", "value", "time_ms"} of the route of cfg.model
+    named by route, or of each of its routes when route is 'all', run in
+    report order on the column parameters a and row parameters b.  'all'
+    drops a route whose library call raises SizeCap; a named route passes
+    the error on."""
     _, make_args, routes = _MODELS[cfg.model]
     args = make_args(cfg, a, b)
-    runs = []
+    rows = []
     for name, fn in routes.items():
         if route in (name, "all"):
+            fn, t0 = globals()[fn], time.perf_counter()
             try:
-                runs.append((name, *_timed(globals()[fn], *args)))
+                val = fn(*args)
             except SizeCap:
                 if route != "all":
                     raise
-    return runs
+                continue
+            rows.append({"route": name, "value": complex(val),
+                         "time_ms": (time.perf_counter() - t0) * 1000.0})
+    return rows
 
 
 def cmd_compute(cfg: argparse.Namespace):
@@ -226,25 +221,18 @@ def cmd_compute(cfg: argparse.Namespace):
     if getattr(cfg, pair[0]) is None:
         for name, draw in zip(pair, draw_parameters(cfg.n, cfg.seed)):
             setattr(cfg, name, draw)
-    runs = _run_routes(cfg, *(getattr(cfg, name) for name in pair), cfg.route)
-    if not runs:
+    results = _run_routes(cfg, *(getattr(cfg, name) for name in pair),
+                          cfg.route)
+    if not results:
         raise InvalidParameter(
             f"model '{cfg.model}' has no route '{cfg.route}' at n = {cfg.n}")
-    results = [{"route": name, "value": _cjson(val), "time_ms": ms}
-               for name, val, ms in runs]
-    values = [complex(val) for _, val, _ in runs]
-    comparisons = [{"a": runs[i][0], "b": runs[j][0],
-                    "rel_diff": _rel(values[i], values[j])}
-                   for i in range(len(runs))
-                   for j in range(i + 1, len(runs))]
-    ok = all(cmath.isfinite(val) for val in values) \
+    comparisons = [{"a": x["route"], "b": y["route"],
+                    "rel_diff": _rel(x["value"], y["value"])}
+                   for i, x in enumerate(results) for y in results[i + 1:]]
+    ok = all(cmath.isfinite(row["value"]) for row in results) \
         and all(c["rel_diff"] <= cfg.tolerance for c in comparisons)
-    verdict = "pass" if ok else "fail"
-    report = {
-        "command": "compute", "config": _config_echo(cfg), "results": results,
-        "comparisons": comparisons, "verdict": verdict, "residuals": {},
-    }
-    return report, (0 if ok else 2), []
+    return {"results": results, "comparisons": comparisons,
+            "verdict": "pass" if ok else "fail", "residuals": {}}, []
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +324,8 @@ def _suite_degeneration(cfg: argparse.Namespace, ctx: ThetaContext, rng) -> list
     u, v = _draw_box(rng, n), _draw_box(rng, n)
     z = [cmath.exp(2j * math.pi * x) for x in u]
     w = [cmath.exp(2j * math.pi * x) for x in v]
-    z_ell = z_sos_elliptic(ctx40, EllipticParams(u, v, lam, hbar))
+    pe = EllipticParams(u, v, lam, hbar)
+    z_ell = z_sos_elliptic(ctx40, pe)
     fac = (2j * math.pi) ** (n * n) \
         * cmath.exp(1j * math.pi * n * (sum(u) + sum(v)))
     z_tr = z_trig_sos(TrigParams(z, w, q, mu))
@@ -347,7 +336,6 @@ def _suite_degeneration(cfg: argparse.Namespace, ctx: ThetaContext, rng) -> list
 
     # gauge invariance of the partition sums
     rho = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.3, 0.3))
-    pe = EllipticParams(u, v, lam, hbar)
     base = enumerate_sos(ctx, pe)
     gauged = enumerate_sos(
         ctx, pe,
@@ -394,8 +382,8 @@ def _suite_appendix(cfg: argparse.Namespace, ctx: ThetaContext, rng) -> list:
     alpha = complex(0.27, 0.03)
     basis = []
     for _ in range(n):
-        zeros = _draw_box(rng, n - 1) if n > 1 else []
-        zeros = list(zeros) + [alpha - sum(zeros)]
+        zeros = _draw_box(rng, n - 1)
+        zeros.append(alpha - sum(zeros))
         basis.append(lambda x, zs=tuple(zeros): theta_product_poly(ctx, zs, x))
     nodes_a = _draw_box(rng, n)
     nodes_b = _draw_box(rng, n)
@@ -422,15 +410,11 @@ def cmd_check(cfg: argparse.Namespace):
     rows = []
     for name in names:
         rows.extend(_SUITE_FNS[name](cfg, ctx, np.random.default_rng(cfg.seed)))
-    verdict = "pass" if all(val <= tol for _, val, tol in rows) else "fail"
-    report = {
-        "command": "check", "config": _config_echo(cfg), "results": [],
-        "comparisons": [],
-        "verdict": verdict,
-        "residuals": {name: val for name, val, _ in rows},
-    }
+    ok = all(val <= tol for _, val, tol in rows)
     # the rows keep each residual's tolerance for the text rendering
-    return report, (0 if verdict == "pass" else 2), rows
+    return {"results": [], "comparisons": [],
+            "verdict": "pass" if ok else "fail",
+            "residuals": {name: val for name, val, _ in rows}}, rows
 
 
 def cmd_bench(cfg: argparse.Namespace):
@@ -438,35 +422,32 @@ def cmd_bench(cfg: argparse.Namespace):
     for n in range(1, cfg.n + 1):
         rng = np.random.default_rng([cfg.seed, n])
         a, b = _draw_box(rng, n), _draw_box(rng, n)
-        runs = _run_routes(cfg, a, b, "all")
-        for name, val, ms in runs:
+        rows = _run_routes(cfg, a, b, "all")
+        for row in rows:
             # the largest gap to the other routes at this n; np.max keeps NaN
-            gaps = [_rel(val, other) for o, other, _ in runs if o != name]
-            results.append({"route": name, "value": _cjson(val),
-                            "time_ms": ms, "n": n,
-                            "terms": _ROUTE_COST[name](n),
+            gaps = [_rel(row["value"], o["value"]) for o in rows if o is not row]
+            results.append({**row, "n": n, "terms": _ROUTE_COST[row["route"]](n),
                             "rel_diff": float(np.max(gaps, initial=0.0))})
     times = {(row["route"], row["n"]): row["time_ms"] for row in results}
     crossover = next((float(n) for n in range(1, cfg.n + 1)
                       if ("determinant", n) in times and ("sum", n) in times
                       and times["determinant", n] < times["sum", n]), -1.0)
-    report = {
-        "command": "bench", "config": _config_echo(cfg), "results": results,
-        "comparisons": [], "verdict": "pass",
-        "residuals": {"crossover_n": crossover},
-    }
-    return report, 0, []
+    return {"results": results, "comparisons": [], "verdict": "pass",
+            "residuals": {"crossover_n": crossover}}, []
 
 
 # ---------------------------------------------------------------------------
 # rendering and entry point
 
-def _fmt_value(pair) -> str:
-    return f"{pair[0]:+.16e} {pair[1]:+.16e}i"
+def _fmt_value(z: complex) -> str:
+    return f"{z.real:+.16e} {z.imag:+.16e}i"
 
 
 def _json_safe(obj):
-    """obj with each non-finite float as None: JSON has null, not NaN."""
+    """obj with each complex as [re, im] and each non-finite float as None:
+    JSON has no complex numbers, and null, not NaN."""
+    if isinstance(obj, complex):
+        obj = [obj.real, obj.imag]
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -550,14 +531,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(cfg: argparse.Namespace) -> None:
+    given = {name: getattr(cfg, name) for name in _LIST_FLAGS
+             if getattr(cfg, name) is not None}
+    if cfg.n is None:
+        cfg.n = len(next(iter(given.values()))) if given else cfg.default_n
     if cfg.n < 1:
         raise InvalidParameter(f"n must be >= 1, got {cfg.n}")
     if cfg.seed < 0:
         raise InvalidParameter(f"--seed must be >= 0, got {cfg.seed}")
     if not cfg.tolerance > 0:
         raise InvalidParameter(f"tolerance must be positive, got {cfg.tolerance}")
-    given = {name: getattr(cfg, name) for name in _LIST_FLAGS
-             if getattr(cfg, name) is not None}
     for name, lst in given.items():
         if len(lst) != cfg.n:
             raise InvalidParameter(
@@ -577,20 +560,18 @@ def main(argv=None) -> int:
         cfg = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if cfg.n is None:
-        explicit = next((getattr(cfg, name) for name in _LIST_FLAGS
-                         if getattr(cfg, name) is not None), None)
-        cfg.n = cfg.default_n if explicit is None else len(explicit)
     try:
         _validate(cfg)
         # looked up by name at call time, so a rebound cmd_* is the one run
-        report, code, rows = globals()[f"cmd_{cfg.command}"](cfg)
+        parts, rows = globals()[f"cmd_{cfg.command}"](cfg)
     except DwbcError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1
+    # built once the command has run: compute draws its missing lists into cfg
+    report = {"command": cfg.command, "config": _config_echo(cfg), **parts}
     print(json.dumps(_json_safe(report), indent=2, allow_nan=False)
           if cfg.output_format == "json" else _render_text(report, rows))
-    return code
+    return 0 if report["verdict"] == "pass" else 2
 
 
 if __name__ == "__main__":

@@ -101,6 +101,9 @@ def _elliptic_sum(ctx, p, u, v, t=None, ks=(), js=()):
     theta entries are met in the formula's one order, so an overflow names
     the argument a fresh build would; a call that raises may leave t part
     updated, which the next call with the same ks, js repairs.
+
+    No lattice guard covers G's th(v_k - v_m - hbar): an exact zero is
+    refused, but one ulp away the sum still agrees with the other routes.
     """
     p.validate(ctx)
     n = p.n
@@ -130,8 +133,13 @@ def _elliptic_sum(ctx, p, u, v, t=None, ks=(), js=()):
         th_h = theta(ctx, hbar)
         tminus = [theta(ctx, -lam - m * hbar) for m in range(n)]
     for k, m in pairs:
-        G[k][m] = (theta(ctx, v[k] - v[m] + hbar)
-                   / theta(ctx, v[k] - v[m] - hbar))
+        G[k][m] = theta(ctx, v[k] - v[m] + hbar)
+        den = theta(ctx, v[k] - v[m] - hbar)
+        if den == 0:
+            raise DegenerateParameter(
+                f"v[{k + 1}] - v[{m + 1}] - hbar = {v[k] - v[m] - hbar} lies on "
+                f"the lattice Gamma (theta denominator vanishes)")
+        G[k][m] /= den
     for m in range(n):
         for j in range(n):
             col = j in js
@@ -198,7 +206,8 @@ def recursion_factor(ctx: ThetaContext, p: EllipticParams) -> complex:
 
 def _guard_distinct(values, label, q=None):
     """Raise when a rational denominator of the trigonometric formulas is
-    near-degenerate: coinciding parameters, or q^(-1) x_i = q x_j."""
+    near-degenerate: coinciding parameters or, given q, x_i/q = q x_j for
+    i > j, the one order in which the sums divide by x_i/q - q x_j."""
     scale = max(1.0, max(abs(x) for x in values))
     n = len(values)
     for i in range(n):
@@ -209,7 +218,8 @@ def _guard_distinct(values, label, q=None):
                 raise DegenerateParameter(
                     f"{label}[{i + 1}] - {label}[{j + 1}] = "
                     f"{values[i] - values[j]} is degenerate (denominator vanishes)")
-            if q is not None and abs(values[i] / q - q * values[j]) < 1e-10 * scale:
+            if q is not None and i > j \
+                    and abs(values[i] / q - q * values[j]) < 1e-10 * scale:
                 raise DegenerateParameter(
                     f"{label}[{i + 1}]/q - q*{label}[{j + 1}] = "
                     f"{values[i] / q - q * values[j]} is degenerate "

@@ -410,6 +410,26 @@ def test_exit_one_on_trig_rule(capsys, argv, message):
     assert (code, out, err) == (1, "", f"parameter error: {message}\n")
 
 
+@pytest.mark.parametrize("model", ["six-vertex", "sos-trig"])
+def test_compute_where_only_the_unused_q_form_vanishes(capsys, model):
+    # w_1 = q^2 w_2 at q = 1.3: the sums never divide by w_1/q - q w_2
+    code, rep, _ = run_json(capsys, "compute", "--model", model, "--route",
+                            "all", "--z", "0.5", "0.8", "--w", "1.69", "1.0")
+    assert (code, rep["verdict"]) == (0, "pass")
+    assert "sum" in [r["route"] for r in rep["results"]]
+
+
+@pytest.mark.parametrize("route", ["sum", "all"])
+def test_exit_one_on_a_vanishing_elliptic_g_denominator(route):
+    """v_2 - v_1 - hbar = 0j: theta of it, a denominator of the sum's G, is
+    zero; the request is refused without a traceback."""
+    proc = run_dwbc("compute", "--model", "sos-elliptic", "--route", route,
+                    "--u", "0.4", "0.6", "--v", "0.1", "0.27")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "parameter error: v[2] - v[1] - hbar = 0j lies on the lattice "
+               "Gamma (theta denominator vanishes)\n")
+
+
 def test_exit_two_on_tolerance_failure(capsys):
     code, out, _ = run_main(capsys, "check", "symmetry", "--n", "2",
                             "--tol", "1e-30")

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from dwbc import (DegenerateParameter, EllipticParams, InvalidParameter,
-                  SizeCap, ThetaContext, TrigParams, enumerate_6v,
-                  enumerate_sos, enumerate_trig_sos, recursion_factor, theta,
-                  weight_kernel, z_6v_sum, z_izergin, z_sos_elliptic,
-                  z_trig_sos)
+                  SizeCap, ThetaContext, TrigParams, column_transfer_z,
+                  enumerate_6v, enumerate_sos, enumerate_trig_sos,
+                  recursion_factor, theta, weight_kernel, z_6v_sum, z_izergin,
+                  z_sos_elliptic, z_trig_sos)
 
 from dwbc.closedform import _elliptic_view, _perm_sum
 from helpers import draw_multiplicative, draw_spectral, rel_diff
@@ -95,6 +95,16 @@ def test_trig_sum_matches_enumeration(rng, n):
     assert rel_diff(z_trig_sos(p), enumerate_trig_sos(p)) < 1e-11
 
 
+def test_trig_sums_where_only_the_unused_q_form_vanishes():
+    """At w_1 = q^2 w_2, w_1/q - q w_2 vanishes, but the sums divide only by
+    w_i/q - q w_j with i > j, so both compute and match enumeration."""
+    q = 1.3
+    six = TrigParams([0.5, 0.8], [q * q * 1.0, 1.0], q)
+    sos = TrigParams([0.5, 0.8], [q * q * 1.0, 1.0], q, mu=0.7)
+    assert rel_diff(z_6v_sum(six), enumerate_6v(six)) < 1e-12
+    assert rel_diff(z_trig_sos(sos), enumerate_trig_sos(sos)) < 1e-12
+
+
 def test_izergin_warns_when_ill_conditioned():
     """Clustered column parameters compound the Cauchy-type conditioning."""
     n, gap = 5, 1e-3
@@ -118,6 +128,38 @@ def test_elliptic_sum_guards_v_collisions(ctx):
     with pytest.raises(DegenerateParameter, match=r"v\[2\] - v\[1\]"):
         z_sos_elliptic(ctx, EllipticParams([0.4, 0.5], [0.1, 0.1],
                                            0.31, 0.17))
+
+
+def test_elliptic_sum_refuses_an_exact_zero_of_g_denominator(ctx):
+    """At v = [0.1, 0.27], hbar = 0.17, v_2 - v_1 - hbar is exactly 0j, a
+    theta denominator of G that no lattice guard covers.  The view that
+    moves v_2 there raises what the sum raises, and computes again once v_2
+    moves away."""
+    u, v = [0.4, 0.6], [0.1, 0.5]
+    runs = _view_outcomes(ctx, u, v, 0.31, 0.17, [0.5, 0.27, 0.5])
+    assert runs[3][1] == ("DegenerateParameter: v[2] - v[1] - hbar = 0j lies "
+                          "on the lattice Gamma (theta denominator vanishes)")
+    assert isinstance(runs[3][2], complex)
+
+
+@pytest.mark.parametrize("v", [[0.1, 0.27], [0.1, 0.27, 0.45]])
+def test_elliptic_sum_one_ulp_from_the_zero(ctx, v):
+    """One ulp from v_2 - v_1 - hbar = 0 the sum agrees with the transfer,
+    which is why only an exact zero is refused."""
+    u = [0.4, 0.6, 0.75][:len(v)]
+    for v2 in (np.nextafter(0.27, 0.0), np.nextafter(0.27, 1.0)):
+        p = EllipticParams(u, [v[0], v2, *v[2:]], 0.31, 0.17)
+        assert rel_diff(z_sos_elliptic(ctx, p), column_transfer_z(ctx, p)) \
+            < 1e-12
+
+
+def test_elliptic_view_refuses_a_non_finite_x_as_the_sum_does(ctx):
+    xs = [np.nan, 0.3, np.inf, 0.3, complex(0.2, -np.inf), 0.3]
+    runs = _view_outcomes(ctx, [0.4, 0.6], [0.1, 0.5], 0.31, 0.17, xs)
+    for k, run in enumerate(runs):
+        refused = f"InvalidParameter: {'uv'[k // 2]} must be finite, got ("
+        assert [isinstance(z, str) and z.startswith(refused)
+                for z in run] == [True, False] * 3
 
 
 def test_regular_at_near_v_collision(ctx):
@@ -257,8 +299,8 @@ def _view_outcomes(ctx, u, v, lam, hbar, xs):
             for x in xs:
                 uv = [list(u), list(v)]
                 uv[side][i] = x
-                want = outcome(z_sos_elliptic, ctx,
-                               EllipticParams(*uv, lam, hbar))
+                want = outcome(lambda: z_sos_elliptic(
+                    ctx, EllipticParams(*uv, lam, hbar)))
                 run.append(outcome(view, x))
                 assert repr(run[-1]) == repr(want), (side, i, x)
             runs.append(run)

@@ -33,6 +33,9 @@ CASES = {
     "z_izergin w[1] = q^2 z[1]": (
         lambda: z_izergin(TrigParams([0.5, 0.7], [Q * Q * 0.5, 2.1], Q)),
         DegenerateParameter, "q*z[1] - w[1]/q"),
+    "z_izergin z[1] = w[1]": (
+        lambda: z_izergin(TrigParams([0.5, 0.7], [0.5, 2.1], Q)),
+        DegenerateParameter, "z[1] - w[1]"),
     "weight_kernel vperm length": (
         lambda: weight_kernel(CTX, EllipticParams([0.1, 0.2], [0.3, 0.4],
                                                   LAM, HBAR), [0.3]),
