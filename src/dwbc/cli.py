@@ -18,8 +18,9 @@ named.
 
 Complex flags accept plain reals, `a+bi` forms, the token `i`, and
 `[re, im]` pairs.  Seeded parameter lists are drawn componentwise from the
-box [0.1, 0.9] + i*[-0.05, 0.05] using numpy's PCG64 generator, so a seed
-pins the exact inputs across machines.
+box [0.1, 0.9] + i*[-0.05, 0.05] by `draws.default_rng`, a standard-library
+replica of numpy's PCG64 `default_rng`, so a seed pins the exact inputs
+across machines and numpy versions.
 
 Exit status: 0 pass, 1 parameter or domain error, 2 tolerance failure or
 a non-finite value.
@@ -37,6 +38,7 @@ import time
 
 import numpy as np
 
+from . import draws
 from .closedform import _elliptic_view, recursion_factor, z_6v_sum, \
     z_izergin, z_sos_elliptic, z_trig_sos
 from .ellpoly import Character, interpolate, membership_residual, \
@@ -132,7 +134,8 @@ def parse_complex(text: str) -> complex:
     s = text.strip().replace(" ", "")
     if s.startswith("[") and s.endswith("]"):
         parts = json.loads(s)
-        if not isinstance(parts, list) or len(parts) != 2:
+        if not isinstance(parts, list) or len(parts) != 2 \
+                or any(isinstance(x, bool) for x in parts):
             raise ValueError(f"expected [re, im], got {text!r}")
         val = complex(float(parts[0]), float(parts[1]))
     else:
@@ -151,7 +154,7 @@ def _draw_box(rng, n: int) -> list:
 
 def draw_parameters(n: int, seed: int) -> tuple:
     """Two reproducible length-n lists from the documented box."""
-    rng = np.random.default_rng(seed)
+    rng = draws.default_rng(seed)
     return _draw_box(rng, n), _draw_box(rng, n)
 
 
@@ -279,7 +282,7 @@ def _suite_character(cfg: argparse.Namespace, ctx: ThetaContext, rng) -> list:
         for i in range(n):
             res = membership_residual(
                 ctx, _elliptic_view(ctx, p, side, i), Character(n, alpha),
-                samples=5, rng=np.random.default_rng(cfg.seed + offset + i))
+                samples=5, rng=draws.default_rng(cfg.seed + offset + i))
             rows.append((f"character.{'uv'[side]}{i + 1}", res, cfg.tolerance))
     return rows
 
@@ -409,7 +412,7 @@ def cmd_check(cfg: argparse.Namespace):
     ctx = ThetaContext(cfg.tau)
     rows = []
     for name in names:
-        rows.extend(_SUITE_FNS[name](cfg, ctx, np.random.default_rng(cfg.seed)))
+        rows.extend(_SUITE_FNS[name](cfg, ctx, draws.default_rng(cfg.seed)))
     ok = all(val <= tol for _, val, tol in rows)
     # the rows keep each residual's tolerance for the text rendering
     return {"results": [], "comparisons": [],
@@ -420,7 +423,7 @@ def cmd_check(cfg: argparse.Namespace):
 def cmd_bench(cfg: argparse.Namespace):
     results = []
     for n in range(1, cfg.n + 1):
-        rng = np.random.default_rng([cfg.seed, n])
+        rng = draws.default_rng([cfg.seed, n])
         a, b = _draw_box(rng, n), _draw_box(rng, n)
         rows = _run_routes(cfg, a, b, "all")
         for row in rows:

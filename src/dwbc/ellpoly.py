@@ -62,8 +62,10 @@ def membership_residual(ctx: ThetaContext, f, chi: Character,
     """Largest normalised violation of the two translation laws over random
     sample points.
 
-    Points are drawn by the generator rng from the box Re in [-0.4, 0.4],
-    Im in [-0.2, 0.2]; each residual is scaled by max(1, |f(u)|).
+    Points are drawn by rng, any object with a `uniform(low, high)` method
+    (`dwbc.draws.default_rng` or a numpy Generator), from the box Re in
+    [-0.4, 0.4], Im in [-0.2, 0.2]; each residual is scaled by
+    max(1, |f(u)|).
     """
     if samples < 1:
         raise InvalidParameter("samples must be >= 1")

@@ -67,6 +67,8 @@ def test_parse_complex_forms():
     with pytest.raises(ValueError):
         parse_complex("[0.3]")
     with pytest.raises(ValueError):
+        parse_complex("[true, 0]")
+    with pytest.raises(ValueError):
         parse_complex("spam")
 
 
@@ -504,12 +506,16 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv", [
+# one request of each command, compute with drawn lists
+_COMMAND_ARGVS = pytest.mark.parametrize("argv", [
     ("compute", "--n", "3"),
     ("compute", "--model", "sos-elliptic", "--n", "3"),
     ("check", "all", "--n", "2"),
     ("bench", "--n", "3"),
 ], ids=["compute", "compute-elliptic", "check", "bench"])
+
+
+@_COMMAND_ARGVS
 def test_commands_load_no_test_dependency(argv):
     # scipy, mpmath, sympy and jsonschema are not runtime dependencies
     proc = run_python("-c", "import sys, dwbc.cli\n"
@@ -520,6 +526,17 @@ def test_commands_load_no_test_dependency(argv):
                       "sys.exit(code)", *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@_COMMAND_ARGVS
+def test_commands_load_no_numpy_random(argv):
+    # seeded inputs come from dwbc.draws, so numpy.random is never imported
+    proc = run_python("-c", "import sys, dwbc.cli\n"
+                      "code = dwbc.cli.main(sys.argv[1:])\n"
+                      "print('numpy.random' in sys.modules)\n"
+                      "sys.exit(code)", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_import_builds_no_plan():
