@@ -135,7 +135,7 @@ def parse_complex(text: str) -> complex:
     if s.startswith("[") and s.endswith("]"):
         parts = json.loads(s)
         if not isinstance(parts, list) or len(parts) != 2 \
-                or any(isinstance(x, bool) for x in parts):
+                or any(type(x) not in (int, float) for x in parts):
             raise ValueError(f"expected [re, im], got {text!r}")
         val = complex(float(parts[0]), float(parts[1]))
     else:

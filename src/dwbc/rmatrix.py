@@ -82,7 +82,7 @@ class EllipticParams:
     u, v are the column and row spectral parameters (length n each), lam is
     the dynamical parameter attached to the corner face, hbar the step by
     which face heights shift it.  `_source` (no part of equality, hash or
-    repr) is the routes' shared vertex source (enumeration._source).
+    repr) is the routes' shared weight table (enumeration._source).
     """
 
     u: tuple

@@ -69,6 +69,8 @@ def test_parse_complex_forms():
     with pytest.raises(ValueError):
         parse_complex("[true, 0]")
     with pytest.raises(ValueError):
+        parse_complex('["0.3", 0]')
+    with pytest.raises(ValueError):
         parse_complex("spam")
 
 
@@ -184,16 +186,16 @@ def test_bench_rows_past_the_caps(capsys):
 
 @pytest.mark.parametrize("builder, argv, builds", [
     ("sos_rmatrix", ("--model", "sos-elliptic", "--n", "4", "--tau", "0.1i"),
-     40),
+     26),
     ("sixv_rmatrix", ("--n", "6"), 36),
-    ("trig_sos_rmatrix", ("--model", "sos-trig", "--n", "4"), 40),
+    ("trig_sos_rmatrix", ("--model", "sos-trig", "--n", "4"), 26),
 ], ids=["sos-elliptic", "six-vertex", "sos-trig"])
 def test_route_all_builds_each_vertex_once(capsys, monkeypatch, builder,
                                            argv, builds):
     """One `compute --route all` request hands every route one params
-    object, so its configuration routes build each vertex weight once: at
-    n = 4 the transfer's 40 (i, j, k) include the enumeration's 32, and
-    the six-vertex table at n = 6 has 36 entries."""
+    object, so its configuration routes build each vertex weight once, and
+    only the vertices some configuration uses: at n = 4 the 26 (i, j, k) of
+    the vertex plan, and the six-vertex table at n = 6 has 36 entries."""
     calls = [0]
     make = getattr(dwbc.enumeration, builder)
 
@@ -546,9 +548,10 @@ def test_import_builds_no_plan():
                       "from dwbc import closedform, enumeration\n"
                       "print([f.cache_info().currsize for f in (\n"
                       "    enumeration._column_plan,\n"
+                      "    enumeration._vertex_plan,\n"
                       "    enumeration._transfer_plan, closedform._plan)])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0]"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
 
 
 def test_all_names_resolve():

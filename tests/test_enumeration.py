@@ -18,6 +18,7 @@ from dwbc import (SIZE_CAP, SUM_CAP, DegenerateParameter,
                   sixv_rmatrix, sos_rmatrix, theta, trig_sos_rmatrix,
                   z_6v_sum, z_izergin, z_sos_elliptic, z_trig_sos)
 from dwbc import enumeration
+from dwbc.rmatrix import RMatrix4
 
 from helpers import draw_multiplicative, draw_spectral, rel_diff
 from oracles import HeightField, column_descent_loop, dwbc_sign_configs, \
@@ -121,41 +122,45 @@ def test_trig_transfer_routes_match_enumeration(rng, n):
     assert rel_diff(column_transfer_trig(pt), enumerate_trig_sos(pt)) < 1e-11
 
 
-def _count_source_reads(monkeypatch, kernel):
-    """Wrap the vertex source that the route kernel `kernel` of enumeration
-    receives; returns the one-element list that counts its reads."""
-    calls = [0]
-    run = getattr(enumeration, kernel)
-
-    def counted_kernel(n, source):
-        def counted(i, j, k):
-            calls[0] += 1
-            return source(i, j, k)
-        return run(n, counted)
-
-    monkeypatch.setattr(enumeration, kernel, counted_kernel)
-    return calls
-
-
 def test_enumeration_expands_each_state_once(monkeypatch):
-    """The column recursion is memoized on (column, right-edge signs), and
-    each new partial filling reads its parent's vertex by slot: the
-    six-vertex sum at n = 6 asks its weight source 1,989 times, where a
-    recursion that re-expands a state for every path reaching it looks up
-    184,884 vertex weights."""
-    calls = _count_source_reads(monkeypatch, "_weight_sum")
+    """The column recursion is memoized on (column, right-edge signs), each
+    partial filling that reaches a complete configuration multiplies in
+    one table weight, and no other filling is made: the six-vertex sum at
+    n = 6 reads 1,446 weights, against 1,989 with every partial filling and
+    184,884 for a recursion that re-expands a state for every path reaching
+    it."""
+    calls = [0]
+
+    class Counted(complex):
+        """A weight that counts the products it enters as right factor."""
+
+        def __rmul__(self, other):
+            calls[0] += 1
+            return complex.__rmul__(self, other)
+
+    run = enumeration._weight_sum
+    monkeypatch.setattr(enumeration, "_weight_sum", lambda n, table: run(
+        n, [RMatrix4(*map(Counted, r)) for r in table]))
     enumerate_6v(_trig(6))
     assert 0 < calls[0] <= 2000     # the memo
-    assert calls[0] == 1989         # one read per partial filling made
+    assert calls[0] == 1446         # one read per closing filling made
 
 
 def test_transfer_asks_one_matrix_per_face_offset(monkeypatch):
-    """Step (i, j) of the contraction needs the s + 1 face offsets of its
-    s = n - j spectator spaces, not one matrix per sign pattern: at n = 6
-    that is n * n(n+1)/2 = 126 weight-source calls, against 378."""
-    calls = _count_source_reads(monkeypatch, "_transfer_contract")
+    """The contraction stacks the request's table once, 71 vertex matrices
+    at n = 6 and one zero matrix, not 6 * 21 = 126 matrices asked per
+    column, and step (i, j) gathers one matrix per face offset of its
+    s = n - j spectator spaces, not one per sign pattern."""
+    stacks = []
+    matrices = enumeration._matrices
+    monkeypatch.setattr(enumeration, "_matrices",
+                        lambda rs: stacks.append(len(rs)) or matrices(rs))
     column_transfer_6v(_trig(6))
-    assert calls[0] == 6 * 21
+    assert stacks == [71 + 1]
+    minus = [bin(p).count("1") for p in range(2 ** 5)]
+    for column in enumeration._transfer_plan(6):
+        for s, take in column:
+            assert len(set(zip(minus, take.tolist()))) == s + 1
 
 
 def _recorded(source, log):
@@ -190,22 +195,45 @@ def _kernel_sources(n, seed):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_planned_routes_match_the_per_call_loops(n):
-    """The planned column descent and contraction against the loops that
-    work everything out per call: the same bits, and the same distinct
-    (i, j, k) asked for in the same first-request order, so theta meets
-    its arguments (and its overflow messages) as before.  The contraction
-    asks for every matrix in the old order, not only the first time."""
+    """The planned column descent and contraction, both reading one table
+    of the vertex plan's weights, against the loops that work everything
+    out per call: the same bits.  The plan lists the (i, j, k) the descent
+    loop asks for, restricted to the plan, in the loop's first-request
+    order, so theta meets its arguments (and its overflow messages) in the
+    descent's order."""
+    vertices = enumeration._vertex_plan(n)[0]
     routes = ((enumeration._weight_sum, column_descent_loop),
               (enumeration._transfer_contract, transfer_row_loop))
     for seed in (1, 2):
         for name, make in _kernel_sources(n, seed).items():
+            source = make()
+            table = [source(*v) for v in vertices]
             for planned, loop in routes:
-                new, old = [], []
-                got = planned(n, _recorded(make(), new))
-                want = loop(n, _recorded(make(), old))
-                assert repr(got) == repr(want), (seed, name, planned)
-                assert list(dict.fromkeys(new)) == list(dict.fromkeys(old))
-            assert new == old       # the last pair run is the contraction's
+                assert repr(planned(n, table)) == repr(loop(n, source)), \
+                    (seed, name, planned)
+            asked = []
+            column_descent_loop(n, _recorded(source, asked))
+            assert [v for v in dict.fromkeys(asked)
+                    if v in set(vertices)] == list(vertices)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_vertices_outside_the_plan_contribute_nothing(n):
+    """The per-call loops, which ask for every vertex, return the same bits
+    when each (i, j, k) outside _vertex_plan(n) weighs zero: the vertices
+    the planned routes skip contribute nothing to Z."""
+    plan = set(enumeration._vertex_plan(n)[0])
+    zero = RMatrix4(0j, 0j, 0j, 0j, 0j)
+    for seed in (1, 2):
+        for name, make in _kernel_sources(n, seed).items():
+            source = make()
+
+            def planned_only(i, j, k):
+                return source(i, j, k) if (i, j, k) in plan else zero
+
+            for loop in (column_descent_loop, transfer_row_loop):
+                assert repr(loop(n, planned_only)) == \
+                    repr(loop(n, source)), (seed, name, loop)
 
 
 def test_a_new_request_builds_no_plan():
@@ -214,8 +242,9 @@ def test_a_new_request_builds_no_plan():
     ctx = ThetaContext(1j)
     enumerate_6v(_trig(6))
     column_transfer_6v(_trig(6))
-    misses = (enumeration._column_plan.cache_info().misses,
-              enumeration._transfer_plan.cache_info().misses)
+    plans = (enumeration._column_plan, enumeration._vertex_plan,
+             enumeration._transfer_plan)
+    misses = [plan.cache_info().misses for plan in plans]
     p = TrigParams([0.9 + 0.1j * k for k in range(6)],
                    [1.9 - 0.1j * k for k in range(6)], 1.2, mu=0.6)
     enumerate_6v(p)
@@ -223,8 +252,7 @@ def test_a_new_request_builds_no_plan():
     enumerate_sos(ctx, _elliptic(6))
     column_transfer_z(ctx, _elliptic(6))
     assert count_configurations(6) == 7436
-    assert (enumeration._column_plan.cache_info().misses,
-            enumeration._transfer_plan.cache_info().misses) == misses
+    assert [plan.cache_info().misses for plan in plans] == misses
 
 
 def _count_builds(monkeypatch, name):
@@ -248,15 +276,15 @@ def _elliptic(n):
 
 def test_routes_share_one_vertex_source(monkeypatch):
     """Enumeration and transfer on one (params, context) build each vertex
-    once between them: at n = 4 the enumeration reaches 32 (i, j, k) and
-    the transfer 40, a superset, so 40 elliptic builds, not 72; the
-    six-vertex table at n = 6 is 36 builds, not 2 x 36."""
+    once between them: at n = 4 both read the vertex plan's 26 (i, j, k),
+    so 26 elliptic builds, not 52; the six-vertex table at n = 6 is 36
+    builds, not 2 x 36."""
     sos = _count_builds(monkeypatch, "sos_rmatrix")
     ctx, p = ThetaContext(0.1j), _elliptic(4)
     enumerate_sos(ctx, p)
-    assert sos[0] == 32
+    assert sos[0] == 26
     column_transfer_z(ctx, p)
-    assert sos[0] == 40
+    assert sos[0] == 26
     sixv = _count_builds(monkeypatch, "sixv_rmatrix")
     p6 = _trig(6)
     enumerate_6v(p6)
@@ -277,7 +305,7 @@ def test_shared_source_gives_each_route_its_own_value(monkeypatch):
     enumerate_trig_sos(pt)
     built = trig[0]
     column_transfer_trig(pt)
-    assert trig[0] == 40 == built + 8
+    assert trig[0] == 26 == built
 
 
 def test_custom_rmatrix_fn_builds_its_own_weights(monkeypatch):
@@ -291,11 +319,11 @@ def test_custom_rmatrix_fn_builds_its_own_weights(monkeypatch):
         return sos_rmatrix(*args)
 
     enumerate_sos(ctx, p, rmatrix_fn=gauged)
-    assert (custom[0], sos[0]) == (16, 0)
+    assert (custom[0], sos[0]) == (13, 0)
     enumerate_sos(ctx, p)
-    assert sos[0] == 16                     # not filled by the custom run
+    assert sos[0] == 13                     # not filled by the custom run
     enumerate_sos(ctx, p, rmatrix_fn=gauged)
-    assert (custom[0], sos[0]) == (32, 16)  # nor read by the next one
+    assert (custom[0], sos[0]) == (26, 13)  # nor read by the next one
     sixv = _count_builds(monkeypatch, "sixv_rmatrix")
     p6 = _trig(3)
     enumerate_6v(p6)
@@ -314,18 +342,18 @@ def test_equal_params_or_contexts_never_share_a_source(monkeypatch):
     assert p == q and p is not q
     enumerate_sos(ctx, p)
     enumerate_sos(ctx, q)
-    assert sos[0] == 2 * 16
+    assert sos[0] == 2 * 13
     twin = ThetaContext(complex(-0.0, 1.0))
     assert twin == ctx and twin is not ctx
     enumerate_sos(twin, p)
-    assert sos[0] == 3 * 16
+    assert sos[0] == 3 * 13
     # equal up to signed zeros: 0.0 == -0.0 in u[0]
     zero, minus_zero = (EllipticParams([x, 0.1, 0.2], [0.05, 0.15, 0.25],
                                        0.31, 0.17) for x in (0.0, -0.0))
     assert zero == minus_zero
     enumerate_sos(ctx, zero)
     enumerate_sos(ctx, minus_zero)
-    assert sos[0] == 5 * 16
+    assert sos[0] == 5 * 13
 
 
 def test_params_keep_only_the_last_context_alive(monkeypatch):
@@ -341,11 +369,11 @@ def test_params_keep_only_the_last_context_alive(monkeypatch):
     del first
     gc.collect()
     assert gone() is None
-    assert sos[0] == 2 * 16
+    assert sos[0] == 2 * 13
     enumerate_sos(second, p)
-    assert sos[0] == 2 * 16
+    assert sos[0] == 2 * 13
     enumerate_sos(ThetaContext(1j), p)
-    assert sos[0] == 3 * 16
+    assert sos[0] == 3 * 13
 
 
 def _exp_ns(passes=7, reps=2000):
