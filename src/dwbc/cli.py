@@ -137,7 +137,10 @@ def parse_complex(text: str) -> complex:
         if not isinstance(parts, list) or len(parts) != 2 \
                 or any(type(x) not in (int, float) for x in parts):
             raise ValueError(f"expected [re, im], got {text!r}")
-        val = complex(float(parts[0]), float(parts[1]))
+        try:
+            val = complex(float(parts[0]), float(parts[1]))
+        except OverflowError:   # an integer beyond the float range
+            raise ValueError(f"{text!r} is out of the float range") from None
     else:
         s = s.replace("i", "j")
         val = complex(re.sub(r"(?<![\dj.])j", "1j", s))  # bare j, +j, 1+j, ...

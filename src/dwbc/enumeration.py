@@ -12,11 +12,12 @@ Two independent routes live here:
   dynamical shift through spectator spaces, one batched matrix product
   per (column, row) step, gathered from one stack of the table's matrices.
 
-Neither route works out its combinatorics per request: the vertices that
-some configuration uses and the fillings that reach one (`_vertex_plan`)
-and the contraction's layout (`_transfer_plan`) hold no weights, so each
-is built once per size and process, on first use, and a request only
-builds its table and multiplies weights along them.
+Neither route works out its combinatorics per request.  The vertices
+some configuration uses have a closed form (`_vertices`); the descent's
+kept fillings (`_descent_plan`) and the contraction's layout
+(`_transfer_plan`) each read only that list, hold no weights, and are built
+once per size and process, on first use.  A request only builds its table
+and multiplies weights along the plan of its route.
 
 Both cost exponentially in n and are capped at n <= SIZE_CAP = 6.  Every
 route reads the weight table of `_source`, whose docstring states when
@@ -65,51 +66,49 @@ def asm_number(n: int) -> int:
 
 
 @cache
-def _column_plan(n, i, right):
-    """The weight-free fillings of column i, given its right-edge signs.
-
-    Column states are bit masks: bit j-1 of `right` is set when the sign
-    entering vertex (i, j) from the right is +1.  Rows are filled top-down:
-    each partial filling (alpha, k, lefts) takes every (gamma, delta, slot)
-    that _BRANCHES lists for its (alpha, beta).  Returns (ops, closes).
-    Filling 0 is the empty one; ops holds, in the order the fillings are
-    made, one op (parent filling, row j, face offset k, weight slot) per
-    filling, which is filling 1 + its position.  closes holds (filling,
-    left mask) for the fillings whose bottom edge closes on -1.  Built once
-    per (n, i, right) and process, on first use.
-    """
-    fills, ops = [(0, 1, n - i, 0)], []
-    for j in range(n, 0, -1):
-        bit = 1 << (j - 1)
-        beta = 1 if right & bit else -1
-        made = []
-        for p, alpha, k, lefts in fills:
-            for gamma, delta, slot in _BRANCHES[alpha, beta]:
-                ops.append((p, j, k, slot))
-                made.append((len(ops), gamma, k + delta,
-                             lefts | bit if delta > 0 else lefts))
-        fills = made
-    return tuple(ops), tuple((f, lefts) for f, gamma, _, lefts in fills
-                             if gamma == -1)
+def _vertices(n):
+    """The (i, j, k) some domain-wall configuration uses, in (i, j, k)
+    order: 26 at n = 4, 71 at n = 6.  The face offset beside vertex (i, j)
+    lies between those of the two extreme height functions, |i - j| and
+    min(i + j, 2n - i - j), and takes every value of the parity of i + j
+    in between.  Built once per n and process, on first use."""
+    return tuple((i, j, k) for i in range(1, n + 1) for j in range(1, n + 1)
+                 for k in range(abs(i - j), min(i + j, 2 * n - i - j) + 1, 2))
 
 
 @cache
-def _vertex_plan(n):
-    """The weight-free plan both configuration routes read at size n:
-    (vertices, states).  vertices lists the (i, j, k) some domain-wall
-    configuration uses (26 at n = 4, 71 at n = 6) in the order the column
-    descent first reads them; a request's table holds their weights in that
-    order.  states maps each column state (i, right) on some configuration
-    to _column_plan's (ops, closes), kept to the fillings that close or are
-    the parent of a kept one (every close completes: a column can add any
-    one plus sign) and renumbered; an op is (parent, 5 * v + slot), the
-    index of table[v][slot] in the flattened table.  Built once per n and
-    process, on first use.
-    """
-    vertices, states = {}, {}
+def _descent_plan(n):
+    """The column descent's weight-free plan at size n: one (ops, closes)
+    per column state (i, right) on some configuration, each state after the
+    states it closes onto, so the first state is a column n one and the
+    last is (1, 0).  right is a bit mask: bit j-1 is set when the sign
+    entering vertex (i, j) from the right is +1.  Rows are filled top-down:
+    each partial filling (alpha, k, lefts) takes every (gamma, delta, slot)
+    that _BRANCHES lists for its (alpha, beta).  Only the fillings that
+    close on a bottom -1, or are the parent of a kept one, are kept (every
+    close completes: a column can add any one plus sign).  Filling 0 is the
+    empty one and op f - 1 makes filling f: (parent, 5 * v + slot), the
+    index of table[v][slot] in the flattened table of _vertices(n).  A close
+    is (filling, 1 + the position of the state it closes onto), or
+    (filling, 0) past column n.  Built once per n and process, on first
+    use."""
+    index = {v: x for x, v in enumerate(_vertices(n))}
+    # past column n every edge sign is +1: the state at position -1
+    states, position = [], {(n + 1, 2 ** n - 1): -1}
 
     def visit(i, right):
-        ops, closes = _column_plan(n, i, right)
+        fills, ops = [(0, 1, n - i, 0)], []
+        for j in range(n, 0, -1):
+            bit = 1 << (j - 1)
+            beta = 1 if right & bit else -1
+            made = []
+            for p, alpha, k, lefts in fills:
+                for gamma, delta, slot in _BRANCHES[alpha, beta]:
+                    ops.append((p, j, k, slot))
+                    made.append((len(ops), gamma, k + delta,
+                                 lefts | bit if delta > 0 else lefts))
+            fills = made
+        closes = [(f, lefts) for f, gamma, _, lefts in fills if gamma == -1]
         keep = {f for f, _ in closes}
         for f in range(len(ops), 0, -1):    # a parent precedes its fillings
             if f in keep:
@@ -117,58 +116,52 @@ def _vertex_plan(n):
         new, kept = [0] * (len(ops) + 1), []
         for f, (p, j, k, slot) in enumerate(ops, 1):
             if f in keep:
-                v = vertices.setdefault((i, j, k), len(vertices))
-                kept.append((new[p], 5 * v + slot))
+                kept.append((new[p], 5 * index[i, j, k] + slot))
                 new[f] = len(kept)
-        states[i, right] = tuple(kept), tuple((new[f], lefts)
-                                              for f, lefts in closes)
         for _, lefts in closes:
-            if i < n and (i + 1, lefts) not in states:
+            if (i + 1, lefts) not in position:
                 visit(i + 1, lefts)
+        position[i, right] = len(states)
+        states.append((tuple(kept), tuple((new[f], 1 + position[i + 1, lefts])
+                                          for f, lefts in closes)))
 
     visit(1, 0)
-    return tuple(vertices), states
+    return tuple(states)
 
 
 def _weight_sum(n, table):
     """Sum of weight products over all domain-wall ice configurations.
 
-    from_col(i, right), the summed weight of columns i..n given column i's
-    right-edge mask, is memoized on that state for this call only.  It
-    walks _vertex_plan(n)'s fillings of that state, weighing each as its
-    parent's weight times F[5 * v + slot], F being the flattened table of
-    the plan's vertex weights.  Every column turns one more edge sign to +1
-    (sum(delta) = sum(beta) + 2), so each path through the n columns ends
-    on the all-plus left boundary."""
+    values[s] is the summed weight of the columns from state s - 1 of
+    _descent_plan(n) leftwards (values[0] = 1 past column n), filled in the
+    plan's order, so each state's closes find their values made.  A state
+    weighs each filling as its parent's weight times F[5 * v + slot], F
+    being the flattened table of _vertices(n)'s weights.  Every column
+    turns one more edge sign to +1 (sum(delta) = sum(beta) + 2), so each
+    path through the n columns ends on the all-plus left boundary."""
     F = [w for r in table for w in r]
-    states = _vertex_plan(n)[1]
-
-    @cache
-    def from_col(i, right):
-        if i > n:
-            return 1.0 + 0j
-        ops, closes = states[i, right]
+    values = [1.0 + 0j]
+    for ops, closes in _descent_plan(n):
         ws = [1.0 + 0j]
         grow = ws.append
         for p, x in ops:
             grow(ws[p] * F[x])
-        return sum(ws[f] * from_col(i + 1, lefts) for f, lefts in closes)
-
-    return from_col(1, 0)
+        values.append(sum(ws[f] * values[s] for f, s in closes))
+    return values[-1]
 
 
 def count_configurations(n: int) -> int:
     """Number of ice configurations compatible with domain-wall boundaries
     (equals the alternating-sign-matrix number)."""
     _check_cap(n, SIZE_CAP, "enumeration")
-    total = _weight_sum(n, [_UNIT] * len(_vertex_plan(n)[0]))
+    total = _weight_sum(n, [_UNIT] * len(_vertices(n)))
     return int(round(total.real))
 
 
 def _source(p, route, weights, ctx=None, rmatrix_fn=None):
     """Check p's lattice rules on ctx (the elliptic model; a TrigParams was
     checked when it was built) and n against the route's cap, then return
-    the weight table of _vertex_plan(p.n)'s vertices, in the plan's order:
+    the weight table of _vertices(p.n), in that order:
     weights(p, ctx, make)(i, j, k) builds each with make, or with the
     model's standard builder if None.
 
@@ -178,11 +171,11 @@ def _source(p, route, weights, ctx=None, rmatrix_fn=None):
     matched by identity, never by equality (objects equal up to +-0 must
     not share); another context or model replaces it, so p keeps at most
     one context alive.  A build that raises is not recorded.  The table is
-    built in the plan's order, whichever route asks first."""
+    built in _vertices' order, whichever route asks first."""
     if ctx is not None:
         p.validate(ctx)
     _check_cap(p.n, SIZE_CAP, route)
-    vertices = _vertex_plan(p.n)[0]
+    vertices = _vertices(p.n)
     if rmatrix_fn:
         return list(starmap(weights(p, ctx, rmatrix_fn), vertices))
     slot = p._source
@@ -251,12 +244,12 @@ def _transfer_plan(n):
     n down to 1, per row j from 1 to n, (s, take).  s = n - j spaces l > j
     are still in their input state, and take[p] indexes the matrix of
     spectator sign pattern p (set bits: its -1 signs) in the stack of
-    _vertex_plan(n)'s vertices and one zero matrix after them.  A vertex
-    outside the plan gets the zero matrix: no configuration uses it, so the
-    amplitude it would act on is exactly zero.  Built once per n and
-    process, on first use.
+    _vertices(n)'s matrices and one zero matrix after them.  A vertex
+    outside that list gets the zero matrix: no configuration uses it, so the
+    amplitude it would act on is exactly zero.  It reads no descent plan.
+    Built once per n and process, on first use.
     """
-    index = {v: x for x, v in enumerate(_vertex_plan(n)[0])}
+    index = {v: x for x, v in enumerate(_vertices(n))}
     minus = [bin(p).count("1") for p in range(2 ** (n - 1))]
 
     def take(i, j, s):          # pattern p's face offset: n - i + s - 2 m
@@ -274,7 +267,7 @@ def _transfer_contract(n: int, table) -> complex:
     all-minus (bottom) boundary states.
 
     Column i contributes an operator built from n R-matrix factors sharing
-    one auxiliary space; table holds the vertex matrices of _vertex_plan(n),
+    one auxiliary space; table holds the vertex matrices of _vertices(n),
     (i, j) at face offset k = (n - i) + the signs still held on the rows
     above j.  The table is stacked once, with a zero matrix after it, and
     each (column, row) step gathers one matrix per sign pattern from that

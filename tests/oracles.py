@@ -6,8 +6,8 @@ library and the oracle cannot share a bug.  Two sections are exceptions.
 The per-call loops of the configuration routes read the package's ice
 table and matrix layout, since they exist to show that the planned routes
 return the same bits.  Sign configurations and height fields, which only
-tests use, walk the enumerator's own column plan, so that a test can
-rebuild the sum from the configurations the enumerator visits.
+tests use, fill columns from the package's ice table (_BRANCHES), so that a
+test can rebuild the sum from the configurations the enumerator visits.
 """
 
 import cmath
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dwbc.enumeration import SIZE_CAP, _BRANCHES, _column_plan
+from dwbc.enumeration import SIZE_CAP, _BRANCHES
 from dwbc.errors import _check_cap
 from dwbc.rmatrix import _matrices
 
@@ -306,8 +306,8 @@ def perm_sum_loop(G, F):
 # ---------------------------------------------------------------------------
 # The configuration routes as loops that work everything out per call, with
 # nothing planned ahead: the library's planned routes must return the same
-# bits and ask their weight source for the same (i, j, k) in the same
-# first-request order.
+# bits, and the vertex list their table is built on must hold every (i, j, k)
+# the descent loop asks for on a configuration.
 #
 # column_descent_loop(n, source) fills each column top-down; every partial
 # filling (weight, alpha, k, lefts) reads source(i, j, k) once and takes
@@ -360,10 +360,11 @@ def transfer_row_loop(n, rfn):
 
 # ---------------------------------------------------------------------------
 # Sign configurations and height fields of the domain-wall ice
-# configurations, in the enumerator's depth-first order, from the left masks
-# of its column plans; the tests check
-# the boundary conditions, the ice rule and the height dictionary on them,
-# and rebuild the elliptic sum face by face from them.
+# configurations, in the enumerator's depth-first order: each column is
+# filled top-down from _BRANCHES, as column_descent_loop fills it, and its
+# closing fillings' left masks are the next column's right masks.  The tests
+# check the boundary conditions, the ice rule and the height dictionary on
+# them, and rebuild the elliptic sum face by face from them.
 # ---------------------------------------------------------------------------
 
 
@@ -400,11 +401,21 @@ def dwbc_sign_configs(n: int):
     in the deterministic depth-first order of the enumerator."""
     _check_cap(n, SIZE_CAP, "enumeration")
 
+    def closes(right):          # the left masks of a column's fillings
+        fills = [(1, 0)]        # (alpha, lefts), rows filled top-down
+        for j in range(n, 0, -1):
+            bit = 1 << (j - 1)
+            beta = 1 if right & bit else -1
+            fills = [(gamma, lefts | bit if delta > 0 else lefts)
+                     for alpha, lefts in fills
+                     for gamma, delta, _ in _BRANCHES[alpha, beta]]
+        return [lefts for gamma, lefts in fills if gamma == -1]
+
     def paths(i, masks):
         if i > n:
             yield masks
             return
-        for _, lefts in _column_plan(n, i, masks[-1])[1]:
+        for lefts in closes(masks[-1]):
             yield from paths(i + 1, masks + (lefts,))
 
     for masks in paths(1, (0,)):

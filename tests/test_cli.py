@@ -72,6 +72,8 @@ def test_parse_complex_forms():
         parse_complex('["0.3", 0]')
     with pytest.raises(ValueError):
         parse_complex("spam")
+    with pytest.raises(ValueError):     # beyond the float range
+        parse_complex("[1" + "0" * 400 + ", 0]")
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +549,8 @@ def test_import_builds_no_plan():
     proc = run_python("-c", "import dwbc\n"
                       "from dwbc import closedform, enumeration\n"
                       "print([f.cache_info().currsize for f in (\n"
-                      "    enumeration._column_plan,\n"
-                      "    enumeration._vertex_plan,\n"
+                      "    enumeration._vertices,\n"
+                      "    enumeration._descent_plan,\n"
                       "    enumeration._transfer_plan, closedform._plan)])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]"

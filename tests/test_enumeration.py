@@ -196,12 +196,10 @@ def _kernel_sources(n, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_planned_routes_match_the_per_call_loops(n):
     """The planned column descent and contraction, both reading one table
-    of the vertex plan's weights, against the loops that work everything
-    out per call: the same bits.  The plan lists the (i, j, k) the descent
-    loop asks for, restricted to the plan, in the loop's first-request
-    order, so theta meets its arguments (and its overflow messages) in the
-    descent's order."""
-    vertices = enumeration._vertex_plan(n)[0]
+    of _vertices(n)'s weights, against the loops that work everything out
+    per call: the same bits.  Every vertex of _vertices(n) is one the
+    descent loop asks for."""
+    vertices = enumeration._vertices(n)
     routes = ((enumeration._weight_sum, column_descent_loop),
               (enumeration._transfer_contract, transfer_row_loop))
     for seed in (1, 2):
@@ -213,16 +211,15 @@ def test_planned_routes_match_the_per_call_loops(n):
                     (seed, name, planned)
             asked = []
             column_descent_loop(n, _recorded(source, asked))
-            assert [v for v in dict.fromkeys(asked)
-                    if v in set(vertices)] == list(vertices)
+            assert set(vertices) <= set(asked)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_vertices_outside_the_plan_contribute_nothing(n):
     """The per-call loops, which ask for every vertex, return the same bits
-    when each (i, j, k) outside _vertex_plan(n) weighs zero: the vertices
+    when each (i, j, k) outside _vertices(n) weighs zero: the vertices
     the planned routes skip contribute nothing to Z."""
-    plan = set(enumeration._vertex_plan(n)[0])
+    plan = set(enumeration._vertices(n))
     zero = RMatrix4(0j, 0j, 0j, 0j, 0j)
     for seed in (1, 2):
         for name, make in _kernel_sources(n, seed).items():
@@ -242,7 +239,7 @@ def test_a_new_request_builds_no_plan():
     ctx = ThetaContext(1j)
     enumerate_6v(_trig(6))
     column_transfer_6v(_trig(6))
-    plans = (enumeration._column_plan, enumeration._vertex_plan,
+    plans = (enumeration._vertices, enumeration._descent_plan,
              enumeration._transfer_plan)
     misses = [plan.cache_info().misses for plan in plans]
     p = TrigParams([0.9 + 0.1j * k for k in range(6)],
@@ -253,6 +250,32 @@ def test_a_new_request_builds_no_plan():
     column_transfer_z(ctx, _elliptic(6))
     assert count_configurations(6) == 7436
     assert [plan.cache_info().misses for plan in plans] == misses
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_vertices_are_the_heights_the_configurations_reach(n):
+    """_vertices(n)'s closed form lists, once each, exactly the (i, j, k)
+    whose face offset k some domain-wall configuration puts beside vertex
+    (i, j)."""
+    vertices = enumeration._vertices(n)
+    reached = {(i, j, int(offsets[i, j]))
+               for cfg in dwbc_sign_configs(n)
+               for offsets in (HeightField.from_signs(cfg).offsets,)
+               for i in range(1, n + 1) for j in range(1, n + 1)}
+    assert len(set(vertices)) == len(vertices)
+    assert set(vertices) == reached
+
+
+def test_the_transfer_builds_no_descent_plan():
+    """The contraction's plan reads only the vertex list: the transfer
+    routes run at every size build no descent plan."""
+    ctx = ThetaContext(1j)
+    enumeration._descent_plan.cache_clear()
+    for n in range(1, SIZE_CAP + 1):
+        column_transfer_z(ctx, _elliptic(n))
+        column_transfer_6v(_trig(n))
+        column_transfer_trig(_trig(n, mu=0.7))
+    assert enumeration._descent_plan.cache_info().misses == 0
 
 
 def _count_builds(monkeypatch, name):

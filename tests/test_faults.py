@@ -162,13 +162,12 @@ def test_weight_fault_is_caught_by_every_dybe_row(capsys, monkeypatch,
 def swap_slots(monkeypatch):
     """swap_slots(x, y, tables) exchanges weight slots x and y in the derived
     ice tables named in tables: "branches" (enumeration._BRANCHES, which
-    the column plans are built from) and "take" (rmatrix._TAKE, the matrix
-    layout the transfer reads).  The plan caches, the vertex plan's
-    included, are cleared before the fault and after it, so that no plan
-    built from the clean table hides the fault and none built from the
-    faulty one outlives it."""
-    plans = (dwbc.enumeration._column_plan, dwbc.enumeration._vertex_plan,
-             dwbc.enumeration._transfer_plan)
+    the descent plan is built from) and "take" (rmatrix._TAKE, the matrix
+    layout the transfer reads).  The descent and transfer plan caches are
+    cleared before the fault and after it, so that no plan built from the
+    clean table hides the fault and none built from the faulty one outlives
+    it."""
+    plans = (dwbc.enumeration._descent_plan, dwbc.enumeration._transfer_plan)
 
     def swap(x, y, tables):
         other = {x: y, y: x}
