@@ -3,21 +3,22 @@
 Two independent routes live here:
 
 * a sum over every ice configuration compatible with domain-wall
-  boundary conditions, built column by column and memoized on the
-  (column, right-edge signs) state, the signs held as a bit mask, so each
-  state is expanded once: at n = 6 it multiplies in 1,446 vertex weights,
-  read by index from the request's weight table, against 184,884 for a
-  depth-first walk of every configuration;
+  boundary conditions, by a forward DP over vertex states (boundary signs
+  as a bit mask, vertical sign), one vertex at a time: at n = 6 it
+  multiplies in 780 vertex weights, read by index from the request's
+  weight table, against 184,884 for a depth-first walk of every
+  configuration;
 * contraction of a product of column transfer matrices, carrying the
   dynamical shift through spectator spaces, one batched matrix product
-  per (column, row) step, gathered from one stack of the table's matrices.
+  per (column, row) step, each a slice of one stack gathered from the
+  table at once.
 
 Neither route works out its combinatorics per request.  The vertices
-some configuration uses have a closed form (`_vertices`); the descent's
-kept fillings (`_descent_plan`) and the contraction's layout
-(`_transfer_plan`) each read only that list, hold no weights, and are built
-once per size and process, on first use.  A request only builds its table
-and multiplies weights along the plan of its route.
+some configuration uses have a closed form (`_vertices`); the DP's kept
+ops (`_vertex_plan`) and the contraction's layout (`_transfer_plan`) each
+read only that list, hold no weights, and are built once per size and
+process, on first use.  A request only builds its table and multiplies
+weights along the plan of its route.
 
 Both cost exponentially in n and are capped at n <= SIZE_CAP = 6.  Every
 route reads the weight table of `_source`, whose docstring states when
@@ -47,13 +48,12 @@ import numpy as np
 
 from .errors import _check_cap
 from .rmatrix import _BRANCHES, EllipticParams, RMatrix4, TrigParams, \
-    _matrices, _mu_shift, _require_mu, sixv_rmatrix, sos_rmatrix, \
+    _layout_index, _mu_shift, _require_mu, sixv_rmatrix, sos_rmatrix, \
     trig_sos_rmatrix
 from .theta import ThetaContext
 
 SIZE_CAP = 6
 _UNIT = RMatrix4(1, 1, 1, 1, 1)     # every admissible vertex weighs 1
-_ZERO = RMatrix4(0j, 0j, 0j, 0j, 0j)   # the transfer's unused vertices
 
 
 def asm_number(n: int) -> int:
@@ -77,77 +77,57 @@ def _vertices(n):
 
 
 @cache
-def _descent_plan(n):
-    """The column descent's weight-free plan at size n: one (ops, closes)
-    per column state (i, right) on some configuration, each state after the
-    states it closes onto, so the first state is a column n one and the
-    last is (1, 0).  right is a bit mask: bit j-1 is set when the sign
-    entering vertex (i, j) from the right is +1.  Rows are filled top-down:
-    each partial filling (alpha, k, lefts) takes every (gamma, delta, slot)
-    that _BRANCHES lists for its (alpha, beta).  Only the fillings that
-    close on a bottom -1, or are the parent of a kept one, are kept (every
-    close completes: a column can add any one plus sign).  Filling 0 is the
-    empty one and op f - 1 makes filling f: (parent, 5 * v + slot), the
-    index of table[v][slot] in the flattened table of _vertices(n).  A close
-    is (filling, 1 + the position of the state it closes onto), or
-    (filling, 0) past column n.  Built once per n and process, on first
-    use."""
-    index = {v: x for x, v in enumerate(_vertices(n))}
-    # past column n every edge sign is +1: the state at position -1
-    states, position = [], {(n + 1, 2 ** n - 1): -1}
-
-    def visit(i, right):
-        fills, ops = [(0, 1, n - i, 0)], []
+def _vertex_plan(n):
+    """The vertex DP's weight-free plan at size n: one (size, ops) layer per
+    vertex (i, j), columns 1..n, rows n..1.  A state (mask, alpha) holds
+    row j's edge sign at the column boundary on bit j-1 (set: +1) and the
+    sign entering the next vertex from above.  Vertex (i, j), at face
+    offset k = j - i + 2 * (plus signs above row j), takes each (gamma,
+    delta, slot) of _BRANCHES[alpha, beta], at row 1 only gamma = -1, and
+    op (s, d, 5 * v + slot) adds state s's amplitude times table[v][slot]
+    into state d; a vertex outside _vertices(n) is skipped.  A backward pass
+    drops every op that cannot reach the all-plus boundary, the last
+    layer's one state.  Built once per n and process, on first use."""
+    offset = {v: 5 * x for x, v in enumerate(_vertices(n))}
+    layers, states = [], {(0, 1): 0}
+    for i in range(1, n + 1):
         for j in range(n, 0, -1):
-            bit = 1 << (j - 1)
-            beta = 1 if right & bit else -1
-            made = []
-            for p, alpha, k, lefts in fills:
+            bit, made, ops = 1 << (j - 1), {}, []
+            for (mask, alpha), s in states.items():
+                x = offset.get((i, j, j - i + 2 * (mask >> j).bit_count()))
+                beta = 1 if mask & bit else -1
                 for gamma, delta, slot in _BRANCHES[alpha, beta]:
-                    ops.append((p, j, k, slot))
-                    made.append((len(ops), gamma, k + delta,
-                                 lefts | bit if delta > 0 else lefts))
-            fills = made
-        closes = [(f, lefts) for f, gamma, _, lefts in fills if gamma == -1]
-        keep = {f for f, _ in closes}
-        for f in range(len(ops), 0, -1):    # a parent precedes its fillings
-            if f in keep:
-                keep.add(ops[f - 1][0])
-        new, kept = [0] * (len(ops) + 1), []
-        for f, (p, j, k, slot) in enumerate(ops, 1):
-            if f in keep:
-                kept.append((new[p], 5 * index[i, j, k] + slot))
-                new[f] = len(kept)
-        for _, lefts in closes:
-            if (i + 1, lefts) not in position:
-                visit(i + 1, lefts)
-        position[i, right] = len(states)
-        states.append((tuple(kept), tuple((new[f], 1 + position[i + 1, lefts])
-                                          for f, lefts in closes)))
-
-    visit(1, 0)
-    return tuple(states)
+                    if x is not None and (j > 1 or gamma < 0):
+                        key = (mask | bit if delta > 0 else mask & ~bit,
+                               gamma if j > 1 else 1)
+                        d = made.setdefault(key, len(made))
+                        ops.append((s, d, x + slot))
+            layers.append(ops)
+            states = made
+    live = {states[2 ** n - 1, 1]}
+    plan = []
+    for ops in reversed(layers):
+        ops = [op for op in ops if op[1] in live]
+        new = {d: x for x, d in enumerate(sorted(live))}
+        live = {s for s, _, _ in ops}
+        old = {s: x for x, s in enumerate(sorted(live))}
+        plan.append((len(new), tuple((old[s], new[d], x) for s, d, x in ops)))
+    return tuple(reversed(plan))
 
 
 def _weight_sum(n, table):
-    """Sum of weight products over all domain-wall ice configurations.
-
-    values[s] is the summed weight of the columns from state s - 1 of
-    _descent_plan(n) leftwards (values[0] = 1 past column n), filled in the
-    plan's order, so each state's closes find their values made.  A state
-    weighs each filling as its parent's weight times F[5 * v + slot], F
-    being the flattened table of _vertices(n)'s weights.  Every column
-    turns one more edge sign to +1 (sum(delta) = sum(beta) + 2), so each
-    path through the n columns ends on the all-plus left boundary."""
+    """Sum of weight products over all domain-wall ice configurations:
+    amp[s] sums the partial configurations ending in state s of a layer of
+    _vertex_plan(n), each op adding its source's amplitude times
+    F[5 * v + slot], F the flattened table of _vertices(n)'s weights."""
     F = [w for r in table for w in r]
-    values = [1.0 + 0j]
-    for ops, closes in _descent_plan(n):
-        ws = [1.0 + 0j]
-        grow = ws.append
-        for p, x in ops:
-            grow(ws[p] * F[x])
-        values.append(sum(ws[f] * values[s] for f, s in closes))
-    return values[-1]
+    amp = [1.0 + 0j]
+    for size, ops in _vertex_plan(n):
+        new = [0j] * size
+        for s, d, x in ops:
+            new[d] += amp[s] * F[x]
+        amp = new
+    return amp[0]
 
 
 def count_configurations(n: int) -> int:
@@ -211,8 +191,8 @@ def _trig(p, ctx, make):
 
 
 def enumerate_6v(p: TrigParams, rmatrix_fn=None) -> complex:
-    """Six-vertex domain-wall partition function by the memoized column sum
-    over ice configurations (see the module docstring).
+    """Six-vertex domain-wall partition function by the vertex DP over ice
+    configurations (see the module docstring).
 
     rmatrix_fn(z, w, q) -> RMatrix4 may replace the standard weights (e.g.
     a gauge-transformed matrix); the default is sixv_rmatrix.
@@ -222,8 +202,8 @@ def enumerate_6v(p: TrigParams, rmatrix_fn=None) -> complex:
 
 def enumerate_sos(ctx: ThetaContext, p: EllipticParams,
                   rmatrix_fn=None) -> complex:
-    """Elliptic SOS domain-wall partition function by the memoized column sum
-    over ice configurations (see the module docstring).
+    """Elliptic SOS domain-wall partition function by the vertex DP over ice
+    configurations (see the module docstring).
 
     Heights appear only through the offset k of each face, so weights are
     built once per (column, row, k).  rmatrix_fn(ctx, x, lam, hbar) ->
@@ -240,26 +220,28 @@ def enumerate_trig_sos(p: TrigParams) -> complex:
 
 @cache
 def _transfer_plan(n):
-    """_transfer_contract's weight-free layout at size n: per column i from
-    n down to 1, per row j from 1 to n, (s, take).  s = n - j spaces l > j
-    are still in their input state, and take[p] indexes the matrix of
-    spectator sign pattern p (set bits: its -1 signs) in the stack of
-    _vertices(n)'s matrices and one zero matrix after them.  A vertex
-    outside that list gets the zero matrix: no configuration uses it, so the
-    amplitude it would act on is exactly zero.  It reads no descent plan.
-    Built once per n and process, on first use.
-    """
-    index = {v: x for x, v in enumerate(_vertices(n))}
+    """_transfer_contract's weight-free layout at size n: (take, columns),
+    columns holding per column i from n down to 1, per row j from 1 to n,
+    (s, start, stop): s = n - j spaces l > j are still in their input
+    state, and the gathered matrices start..stop-1 serve spectator sign
+    patterns p = 0.. (set bits: its -1 signs).  take indexes their entries
+    in the flattened table of _vertices(n) and a zero after it; a vertex
+    outside that list, which no configuration uses, gets the zero matrix.
+    Built once per n and process, on first use."""
+    offset = {v: 5 * x for x, v in enumerate(_vertices(n))}
     minus = [bin(p).count("1") for p in range(2 ** (n - 1))]
-
-    def take(i, j, s):          # pattern p's face offset: n - i + s - 2 m
-        x = np.array([index.get((i, j, n - i + s - 2 * m), len(index))
-                      for m in minus[:2 ** s]])
-        x.flags.writeable = False
-        return s, x
-
-    return tuple(tuple(take(i, j, n - j) for j in range(1, n + 1))
-                 for i in range(n, 0, -1))
+    rows, columns = [], []
+    for i in range(n, 0, -1):
+        column = []
+        for j in range(1, n + 1):
+            s = n - j           # pattern p's face offset: n - i + s - 2 m
+            column.append((s, len(rows), len(rows) + 2 ** s))
+            rows += [offset.get((i, j, n - i + s - 2 * m))
+                     for m in minus[:2 ** s]]
+        columns.append(tuple(column))
+    take = _layout_index(rows, 5 * len(offset))
+    take.flags.writeable = False
+    return take, tuple(columns)
 
 
 def _transfer_contract(n: int, table) -> complex:
@@ -269,10 +251,11 @@ def _transfer_contract(n: int, table) -> complex:
     Column i contributes an operator built from n R-matrix factors sharing
     one auxiliary space; table holds the vertex matrices of _vertices(n),
     (i, j) at face offset k = (n - i) + the signs still held on the rows
-    above j.  The table is stacked once, with a zero matrix after it, and
-    each (column, row) step gathers one matrix per sign pattern from that
-    stack along _transfer_plan(n).  The auxiliary line enters at the bottom
-    with sign -1 and must exit at the top with +1.
+    above j.  One take along _transfer_plan(n) gathers every step's matrices,
+    one per sign pattern, from the flattened table and a zero after it, and
+    each (column, row) step multiplies by its slice of that stack.  The
+    auxiliary line enters at the bottom with sign -1 and must exit at the
+    top with +1.
 
     Within a column the state is held pattern first, as a (2^s, 4, rest)
     array before the step at row j: the spectator signs (spaces n..j+1),
@@ -283,12 +266,14 @@ def _transfer_contract(n: int, table) -> complex:
     # Quantum state vector over spaces (n, n-1, ..., 1); index 0 means +1.
     vec = np.zeros(2 ** n, dtype=complex)
     vec[0] = 1.0
-    stack = _matrices([*table, _ZERO])
-    for column in _transfer_plan(n):
+    take, columns = _transfer_plan(n)
+    stack = np.array([w for r in table for w in r] + [0j], dtype=complex) \
+        .take(take).reshape(-1, 4, 4)
+    for column in columns:
         x = np.zeros((2 ** (n - 1), 4, 1), dtype=complex)
         x[:, 2:, 0] = vec.reshape(-1, 2)        # auxiliary enters with sign -1
-        for s, take in column:
-            x = stack[take] @ x
+        for s, start, stop in column:
+            x = stack[start:stop] @ x
             if s:
                 x = x.reshape(2 ** (s - 1), 2, 2, 2, -1).swapaxes(1, 2) \
                     .reshape(2 ** (s - 1), 4, -1)

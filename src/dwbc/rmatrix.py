@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -73,6 +74,15 @@ def _matrices(rs) -> np.ndarray:
     """The (k, 4, 4) stack of the weight matrices of the k R-matrices rs."""
     padded = np.array([r + (0j,) for r in rs], dtype=complex)
     return padded.take(_TAKE, axis=1).reshape(-1, 4, 4)
+
+
+def _layout_index(rows, zero) -> np.ndarray:
+    """Indices into a flat weight list, 16 per matrix in _TAKE's layout, of
+    the matrices whose five weights start at each offset in rows (None for
+    the zero matrix); zero indexes a 0 in that list."""
+    slots = _TAKE.tolist()
+    return np.array([zero if r is None or t == 5 else r + t
+                     for r in rows for t in slots])
 
 
 @dataclass(frozen=True)
@@ -275,29 +285,37 @@ def gauge_rescale(r: RMatrix4, rho: complex) -> RMatrix4:
     return r._replace(b=r.b * rho, bbar=r.bbar / rho)
 
 
-def _embed3(r_of_sign, a: int, b: int, c: int) -> np.ndarray:
-    """8x8 operator acting as r_of_sign(s) on spaces (a, b), where s is the
-    sign (+1/-1) carried by the spectator space c.  Spaces are numbered
-    0, 1, 2; index 0 of each two-state factor means sign +1."""
-    out = np.zeros((2,) * 6, dtype=complex)   # (out0, out1, out2, in0, in1, in2)
-    for sc in (0, 1):
-        g = r_of_sign(1 if sc == 0 else -1).reshape(2, 2, 2, 2)
-        sl = [slice(None)] * 6
-        sl[c] = sl[3 + c] = sc                  # leaves (out, out, in, in) of a, b
-        out[tuple(sl)] = g if a < b else g.transpose(1, 0, 3, 2)
-    return out.reshape(8, 8)
-
-
 # the two sides of the DYBE, each factor left to right as (argument: 0, 1,
 # 2 for x12, x13, x23; shifted by the spectator's sign?; its spaces a, b, c)
 _DYBE_SIDES = (
     ((0, False, (0, 1, 2)), (1, True, (0, 2, 1)), (2, False, (1, 2, 0))),
     ((2, True, (1, 2, 0)), (1, False, (0, 2, 1)), (0, True, (0, 1, 2))))
-# the nine (argument, shift) pairs in the order the sides first need them;
-# _embed3 asks for the spectator sign +1, then -1
+# the nine (argument, shift) pairs in the order the sides first need them,
+# for the spectator sign +1, then -1: the order the builder is called in
 _DYBE_KEYS = tuple(dict.fromkeys((x, k if shifted else 0)
                                  for side in _DYBE_SIDES
                                  for x, shifted, _ in side for k in (1, -1)))
+
+
+@cache
+def _dybe_index() -> np.ndarray:
+    """The (6, 8, 8) index of _DYBE_SIDES' six factors into the flattened
+    weights of _DYBE_KEYS' matrices and a zero: factor (x, shifted, (a, b,
+    c)) acts on spaces (a, b) as matrix (x, s if shifted else 0), s the sign
+    on space c (index 0: +1).  Built once per process, on first use."""
+    zero = 5 * len(_DYBE_KEYS)
+    mats = _layout_index(range(0, zero, 5), zero).reshape(-1, 2, 2, 2, 2)
+    out = np.full((6,) + (2,) * 6, zero)    # (out0, out1, out2, in0, in1, in2)
+    factors = [f for side in _DYBE_SIDES for f in side]
+    for f, (x, shifted, (a, b, c)) in enumerate(factors):
+        for sc, s in enumerate((1, -1)):
+            g = mats[_DYBE_KEYS.index((x, s if shifted else 0))]
+            sl = [f] + [slice(None)] * 6
+            sl[1 + c] = sl[4 + c] = sc          # leaves (out, out, in, in) of a, b
+            out[tuple(sl)] = g if a < b else g.transpose(1, 0, 3, 2)
+    out = out.reshape(6, 8, 8)
+    out.flags.writeable = False
+    return out
 
 
 def dybe_residual_from_builder(builder, x12, x13, x23) -> float:
@@ -312,19 +330,15 @@ def dybe_residual_from_builder(builder, x12, x13, x23) -> float:
 
     with Hk meaning the shift is driven by the sign on space k.  Each of the
     nine (argument, shift) matrices is built once, in the order the two
-    products first need them, and all six factors before the first matmul.
+    products first need them, and one take along _dybe_index() gathers all
+    six factors from their weights before the first matmul.
     Returns max|lhs - rhs| / max(1, largest |entry| of either side): at
     small Im(tau) the weights, and so both sides, grow far past 1.
     """
     xs = (x12, x13, x23)
-    mats = dict(zip(_DYBE_KEYS, _matrices([builder(xs[x], k)
-                                           for x, k in _DYBE_KEYS])))
-
-    def factor(x, shifted, spaces):
-        return _embed3(lambda s: mats[x, s if shifted else 0], *spaces)
-
-    (l1, l2, l3), (r1, r2, r3) = ([factor(*f) for f in side]
-                                  for side in _DYBE_SIDES)
+    weights = [w for x, k in _DYBE_KEYS for w in builder(xs[x], k)]
+    l1, l2, l3, r1, r2, r3 = np.array(weights + [0j], dtype=complex) \
+        .take(_dybe_index())
     lhs = l1 @ l2 @ l3
     rhs = r1 @ r2 @ r3
     scale = max(1.0, np.max(np.abs(lhs)), np.max(np.abs(rhs)))

@@ -7,7 +7,8 @@ The per-call loops of the configuration routes read the package's ice
 table and matrix layout, since they exist to show that the planned routes
 return the same bits.  Sign configurations and height fields, which only
 tests use, fill columns from the package's ice table (_BRANCHES), so that a
-test can rebuild the sum from the configurations the enumerator visits.
+test can rebuild the sum from the configurations the column descent
+visits.
 """
 
 import cmath
@@ -305,18 +306,43 @@ def perm_sum_loop(G, F):
 
 # ---------------------------------------------------------------------------
 # The configuration routes as loops that work everything out per call, with
-# nothing planned ahead: the library's planned routes must return the same
-# bits, and the vertex list their table is built on must hold every (i, j, k)
-# the descent loop asks for on a configuration.
+# nothing planned ahead.
 #
-# column_descent_loop(n, source) fills each column top-down; every partial
+# vertex_dp_loop(n, source) is the library's vertex DP with its states held
+# in dicts: vertex by vertex, columns 1..n and rows n..1, each state (mask,
+# alpha) reads source(i, j, k) once and takes each (gamma, delta, slot) that
+# _BRANCHES lists for its (alpha, beta), gamma = -1 only at row 1, adding
+# its amplitude times the weight into the state it makes.  The library's
+# planned walk must return the same bits.  transfer_row_loop(n, rfn) is the
+# column contraction asking for one stack of s + 1 matrices per (column,
+# row) step, and must return the planned contraction's bits.
+#
+# column_descent_loop(n, source) is an independent route, with its own order
+# of products and sums: it fills each column top-down; every partial
 # filling (weight, alpha, k, lefts) reads source(i, j, k) once and takes
 # each (gamma, delta, slot) that _BRANCHES lists for its (alpha, beta), and
 # the column's fillings are summed, in the order they are made, times the
-# memoized value of the columns to its left.  transfer_row_loop(n, rfn) is
-# the column contraction asking for one stack of s + 1 matrices per
-# (column, row) step.
+# memoized value of the columns to its left.  It asks for every vertex some
+# partial filling reaches, so the vertex list the library's table is built
+# on must hold every (i, j, k) it asks for on a configuration.
 # ---------------------------------------------------------------------------
+
+
+def vertex_dp_loop(n, source):
+    states = {(0, 1): 1.0 + 0j}
+    for i in range(1, n + 1):
+        for j in range(n, 0, -1):
+            bit, made = 1 << (j - 1), {}
+            for (mask, alpha), amp in states.items():
+                r = source(i, j, j - i + 2 * (mask >> j).bit_count())
+                beta = 1 if mask & bit else -1
+                for gamma, delta, slot in _BRANCHES[alpha, beta]:
+                    if j > 1 or gamma == -1:
+                        key = (mask | bit if delta > 0 else mask & ~bit,
+                               gamma if j > 1 else 1)
+                        made[key] = made.get(key, 0j) + amp * r[slot]
+            states = made
+    return states[2 ** n - 1, 1]
 
 
 def column_descent_loop(n, source):
@@ -360,7 +386,7 @@ def transfer_row_loop(n, rfn):
 
 # ---------------------------------------------------------------------------
 # Sign configurations and height fields of the domain-wall ice
-# configurations, in the enumerator's depth-first order: each column is
+# configurations, in the column descent's depth-first order: each column is
 # filled top-down from _BRANCHES, as column_descent_loop fills it, and its
 # closing fillings' left masks are the next column's right masks.  The tests
 # check the boundary conditions, the ice rule and the height dictionary on
@@ -398,7 +424,7 @@ class SignConfig:
 
 def dwbc_sign_configs(n: int):
     """Yield every SignConfig compatible with domain-wall boundaries,
-    in the deterministic depth-first order of the enumerator."""
+    in the deterministic depth-first order of the column descent."""
     _check_cap(n, SIZE_CAP, "enumeration")
 
     def closes(right):          # the left masks of a column's fillings

@@ -547,13 +547,14 @@ def test_import_builds_no_plan():
     """The routes' weight-free plans are built on first use, never at
     import, so importing the package costs none of them."""
     proc = run_python("-c", "import dwbc\n"
-                      "from dwbc import closedform, enumeration\n"
+                      "from dwbc import closedform, enumeration, rmatrix\n"
                       "print([f.cache_info().currsize for f in (\n"
                       "    enumeration._vertices,\n"
-                      "    enumeration._descent_plan,\n"
-                      "    enumeration._transfer_plan, closedform._plan)])")
+                      "    enumeration._vertex_plan,\n"
+                      "    enumeration._transfer_plan, closedform._plan,\n"
+                      "    rmatrix._dybe_index)])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]"
 
 
 def test_all_names_resolve():

@@ -17,12 +17,15 @@ from dwbc import (SIZE_CAP, SUM_CAP, DegenerateParameter,
                   enumerate_sos, enumerate_trig_sos, gauge_rescale,
                   sixv_rmatrix, sos_rmatrix, theta, trig_sos_rmatrix,
                   z_6v_sum, z_izergin, z_sos_elliptic, z_trig_sos)
-from dwbc import enumeration
+from dwbc import draws, enumeration
+from dwbc.cli import _draw_box
+from dwbc.closedform import _perm_sum
 from dwbc.rmatrix import RMatrix4
 
 from helpers import draw_multiplicative, draw_spectral, rel_diff
 from oracles import HeightField, column_descent_loop, dwbc_sign_configs, \
-    sixv_bruteforce, transfer_contract_loop, transfer_row_loop
+    sixv_bruteforce, sos_elliptic_tables_mp, transfer_contract_loop, \
+    transfer_row_loop, vertex_dp_loop
 
 
 def test_asm_numbers():
@@ -43,11 +46,11 @@ PINNED_ROUTES = {
     "enumerate_sos": -1.7771142109442755e-11 + 6.515131453027047e-12j,
     "column_transfer_z": -1.7771142109442755e-11 + 6.515131453027042e-12j,
     "z_sos_elliptic": -1.7771142109442726e-11 + 6.515131453027035e-12j,
-    "enumerate_6v": -0.5619184411633938 + 3.5609459690767618j,
+    "enumerate_6v": -0.5619184411633936 + 3.5609459690767613j,
     "column_transfer_6v": -0.5619184411633941 + 3.560945969076763j,
     "z_6v_sum": -0.5619184411633933 + 3.5609459690767635j,
     "z_izergin": -0.5619184411633933 + 3.5609459690767626j,
-    "enumerate_trig_sos": 10.346677422186822 - 30.4097073349032j,
+    "enumerate_trig_sos": 10.346677422186822 - 30.409707334903192j,
     "column_transfer_trig": 10.346677422186836 - 30.409707334903192j,
     "z_trig_sos": 10.34667742218683 - 30.409707334903203j,
 }
@@ -123,10 +126,10 @@ def test_trig_transfer_routes_match_enumeration(rng, n):
 
 
 def test_enumeration_expands_each_state_once(monkeypatch):
-    """The column recursion is memoized on (column, right-edge signs), each
-    partial filling that reaches a complete configuration multiplies in
-    one table weight, and no other filling is made: the six-vertex sum at
-    n = 6 reads 1,446 weights, against 1,989 with every partial filling and
+    """The vertex DP holds one amplitude per (boundary signs, vertical sign)
+    state, and each op that reaches the all-plus boundary multiplies in one
+    table weight: the six-vertex sum at n = 6 reads 780 weights, against
+    1,446 for a column descent memoized on (column, right-edge signs) and
     184,884 for a recursion that re-expands a state for every path reaching
     it."""
     calls = [0]
@@ -142,25 +145,28 @@ def test_enumeration_expands_each_state_once(monkeypatch):
     monkeypatch.setattr(enumeration, "_weight_sum", lambda n, table: run(
         n, [RMatrix4(*map(Counted, r)) for r in table]))
     enumerate_6v(_trig(6))
-    assert 0 < calls[0] <= 2000     # the memo
-    assert calls[0] == 1446         # one read per closing filling made
+    assert 0 < calls[0] <= 1446     # the states
+    assert calls[0] == 780          # one read per op of the plan
 
 
-def test_transfer_asks_one_matrix_per_face_offset(monkeypatch):
-    """The contraction stacks the request's table once, 71 vertex matrices
-    at n = 6 and one zero matrix, not 6 * 21 = 126 matrices asked per
-    column, and step (i, j) gathers one matrix per face offset of its
-    s = n - j spectator spaces, not one per sign pattern."""
-    stacks = []
-    matrices = enumeration._matrices
-    monkeypatch.setattr(enumeration, "_matrices",
-                        lambda rs: stacks.append(len(rs)) or matrices(rs))
-    column_transfer_6v(_trig(6))
-    assert stacks == [71 + 1]
+def test_transfer_asks_one_matrix_per_face_offset():
+    """The contraction gathers from the request's flattened table, 71
+    vertices at n = 6, and one zero after it, not from 6 * 21 = 126 matrices
+    asked per column, and step (i, j) takes one matrix per face offset of
+    its s = n - j spectator spaces, one copy per sign pattern: the 2^s
+    patterns, in order, are the step's slice of the gathered stack."""
+    take, columns = enumeration._transfer_plan(6)
+    matrices = take.reshape(-1, 16).tolist()
+    assert max(take.tolist()) == 5 * 71 and len(matrices) == 6 * 63
     minus = [bin(p).count("1") for p in range(2 ** 5)]
-    for column in enumeration._transfer_plan(6):
-        for s, take in column:
-            assert len(set(zip(minus, take.tolist()))) == s + 1
+    end = 0
+    for column in columns:
+        for s, start, stop in column:
+            assert (start, stop) == (end, end + 2 ** s)
+            end = stop
+            pairs = set(zip(minus, map(tuple, matrices[start:stop])))
+            assert len(pairs) == s + 1
+    assert end == len(matrices)
 
 
 def _recorded(source, log):
@@ -195,12 +201,14 @@ def _kernel_sources(n, seed):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_planned_routes_match_the_per_call_loops(n):
-    """The planned column descent and contraction, both reading one table
-    of _vertices(n)'s weights, against the loops that work everything out
-    per call: the same bits.  Every vertex of _vertices(n) is one the
-    descent loop asks for."""
+    """The planned vertex DP and contraction, both reading one table of
+    _vertices(n)'s weights, against the loops that work everything out per
+    call: the same bits.  The column descent, which multiplies and sums in
+    its own order, agrees within 1e-14 of the sum of |configuration weight|
+    (the rounding bound 2 (n^2 + n) u at n = 6; the worst seen is 5.8e-16),
+    and every vertex of _vertices(n) is one it asks for."""
     vertices = enumeration._vertices(n)
-    routes = ((enumeration._weight_sum, column_descent_loop),
+    routes = ((enumeration._weight_sum, vertex_dp_loop),
               (enumeration._transfer_contract, transfer_row_loop))
     for seed in (1, 2):
         for name, make in _kernel_sources(n, seed).items():
@@ -209,9 +217,48 @@ def test_planned_routes_match_the_per_call_loops(n):
             for planned, loop in routes:
                 assert repr(planned(n, table)) == repr(loop(n, source)), \
                     (seed, name, planned)
+            scale = enumeration._weight_sum(
+                n, [RMatrix4(*map(abs, r)) for r in table]).real
+            assert abs(enumeration._weight_sum(n, table)
+                       - column_descent_loop(n, source)) <= 1e-14 * scale, \
+                (seed, name)
             asked = []
             column_descent_loop(n, _recorded(source, asked))
             assert set(vertices) <= set(asked)
+
+
+@pytest.mark.parametrize("lam, hbar", [(0.31, 0.17), (0.437, 0.0517)])
+@pytest.mark.parametrize("tau", [1j, 0.1j])
+def test_configuration_routes_match_an_80_digit_reference(tau, lam, hbar):
+    """The vertex DP, the contraction and the column descent against the
+    elliptic sum formula in mpmath, from the exact float inputs, on three
+    seeded box draws at n = 4: each within 3e-14 of the 80-digit value,
+    against a worst 9.7e-15.  A draw whose 60- and 80-digit references part
+    by more than 1e-20 is unresolved, and skipped."""
+    mpmath = pytest.importorskip("mpmath")
+    n, ctx = 4, ThetaContext(tau)
+    scored = 0
+    for seed in (1, 2, 3):
+        rng = draws.default_rng([seed, n])
+        u, v = _draw_box(rng, n), _draw_box(rng, n)
+        refs = []
+        for dps in (60, 80):
+            with mpmath.workdps(dps):
+                pref, G, F = sos_elliptic_tables_mp(u, v, lam, hbar, tau)
+                refs.append(pref * _perm_sum(G, F))
+        p = EllipticParams(u, v, lam, hbar)
+        routes = {"enumerate": enumerate_sos(ctx, p),
+                  "transfer": column_transfer_z(ctx, p),
+                  "descent": column_descent_loop(
+                      n, enumeration._sos(p, ctx, None))}
+        with mpmath.workdps(80):
+            ref = refs[1]
+            if abs(refs[0] - ref) > 1e-20 * abs(ref):
+                continue
+            scored += 1
+            for route, z in routes.items():
+                assert abs(z - ref) <= 3e-14 * abs(ref), (seed, route)
+    assert scored
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -228,7 +275,8 @@ def test_vertices_outside_the_plan_contribute_nothing(n):
             def planned_only(i, j, k):
                 return source(i, j, k) if (i, j, k) in plan else zero
 
-            for loop in (column_descent_loop, transfer_row_loop):
+            for loop in (vertex_dp_loop, column_descent_loop,
+                         transfer_row_loop):
                 assert repr(loop(n, planned_only)) == \
                     repr(loop(n, source)), (seed, name, loop)
 
@@ -239,7 +287,7 @@ def test_a_new_request_builds_no_plan():
     ctx = ThetaContext(1j)
     enumerate_6v(_trig(6))
     column_transfer_6v(_trig(6))
-    plans = (enumeration._vertices, enumeration._descent_plan,
+    plans = (enumeration._vertices, enumeration._vertex_plan,
              enumeration._transfer_plan)
     misses = [plan.cache_info().misses for plan in plans]
     p = TrigParams([0.9 + 0.1j * k for k in range(6)],
@@ -266,16 +314,16 @@ def test_vertices_are_the_heights_the_configurations_reach(n):
     assert set(vertices) == reached
 
 
-def test_the_transfer_builds_no_descent_plan():
+def test_the_transfer_builds_no_vertex_plan():
     """The contraction's plan reads only the vertex list: the transfer
-    routes run at every size build no descent plan."""
+    routes run at every size build no vertex DP plan."""
     ctx = ThetaContext(1j)
-    enumeration._descent_plan.cache_clear()
+    enumeration._vertex_plan.cache_clear()
     for n in range(1, SIZE_CAP + 1):
         column_transfer_z(ctx, _elliptic(n))
         column_transfer_6v(_trig(n))
         column_transfer_trig(_trig(n, mu=0.7))
-    assert enumeration._descent_plan.cache_info().misses == 0
+    assert enumeration._vertex_plan.cache_info().misses == 0
 
 
 def _count_builds(monkeypatch, name):
@@ -290,11 +338,6 @@ def _count_builds(monkeypatch, name):
 
     monkeypatch.setattr(enumeration, name, counted)
     return calls
-
-
-def _elliptic(n):
-    return EllipticParams([0.1 * k for k in range(n)],
-                          [0.05 + 0.1 * k for k in range(n)], 0.31, 0.17)
 
 
 def test_routes_share_one_vertex_source(monkeypatch):

@@ -162,12 +162,13 @@ def test_weight_fault_is_caught_by_every_dybe_row(capsys, monkeypatch,
 def swap_slots(monkeypatch):
     """swap_slots(x, y, tables) exchanges weight slots x and y in the derived
     ice tables named in tables: "branches" (enumeration._BRANCHES, which
-    the descent plan is built from) and "take" (rmatrix._TAKE, the matrix
-    layout the transfer reads).  The descent and transfer plan caches are
-    cleared before the fault and after it, so that no plan built from the
-    clean table hides the fault and none built from the faulty one outlives
-    it."""
-    plans = (dwbc.enumeration._descent_plan, dwbc.enumeration._transfer_plan)
+    the vertex DP's plan is built from) and "take" (rmatrix._TAKE, the
+    matrix layout the transfer's and the DYBE residual's gather indices are
+    built from).  Those plan caches are cleared before the fault and after
+    it, so that no plan built from the clean table hides the fault and none
+    built from the faulty one outlives it."""
+    plans = (dwbc.enumeration._vertex_plan, dwbc.enumeration._transfer_plan,
+             dwbc.rmatrix._dybe_index)
 
     def swap(x, y, tables):
         other = {x: y, y: x}
@@ -200,7 +201,7 @@ BASIS = ((1, 1), (1, -1), (-1, 1), (-1, -1))    # the 4x4 matrices' basis
 def _ice_table_faults():
     """{(table, vertex): weight name it reads} for each vertex at which a
     table the routes read disagrees with SIX_VERTICES: "branches"
-    (enumeration._BRANCHES, the vertices the column plans take) and "take"
+    (enumeration._BRANCHES, the vertices the vertex DP takes) and "take"
     (rmatrix._TAKE, the slot of each entry of the transfer's matrices,
     row (alpha, beta) and column (gamma, delta); slot 5 is a zero)."""
     names = RMatrix4._fields + (None,)
@@ -253,7 +254,7 @@ def test_c_slot_swap_is_caught_through_the_plans(capsys, swap_slots, model,
                                                  tables):
     """c and cbar exchanged in the tables named: a comparison fails exactly
     when one of its two routes reads a faulty table (rel 0.46 to 1.0), the
-    enumeration through its column plans, the transfer through _TAKE.  With
+    enumeration through its vertex plan, the transfer through _TAKE.  With
     both tables swapped the two agree with each other and fail against the
     sum and the determinant; with _BRANCHES alone, even the
     enumerate-transfer row fails, so a plan cannot hide the table it was

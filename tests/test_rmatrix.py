@@ -13,7 +13,7 @@ from dwbc import (DegenerateParameter, EllipticParams, InvalidParameter,
                   enumerate_sos, gauge_rescale, sixv_rmatrix, sos_rmatrix,
                   theta, trig_nondyn_rmatrix, trig_sos_rmatrix,
                   ybe_residual_nondyn, z_izergin, z_sos_elliptic)
-from dwbc.rmatrix import _BRANCHES, _SLOTS, _embed3, dybe_residual_from_builder
+from dwbc.rmatrix import _BRANCHES, _SLOTS, dybe_residual_from_builder
 
 from helpers import draw_spectral
 
@@ -144,6 +144,19 @@ def test_dybe_residual_is_relative_at_small_tau():
     assert dybe_residual_from_builder(exact, t1 - t2, t1 - t3, t2 - t3) < 1e-13
     assert dybe_residual_from_builder(perturbed, t1 - t2, t1 - t3,
                                       t2 - t3) > 1e-9
+
+
+def _embed3(r_of_sign, a, b, c):
+    """8x8 operator acting as r_of_sign(s) on spaces (a, b), where s is the
+    sign (+1/-1) carried by the spectator space c.  Spaces are numbered
+    0, 1, 2; index 0 of each two-state factor means sign +1."""
+    out = np.zeros((2,) * 6, dtype=complex)   # (out0, out1, out2, in0, in1, in2)
+    for sc in (0, 1):
+        g = r_of_sign(1 if sc == 0 else -1).reshape(2, 2, 2, 2)
+        sl = [slice(None)] * 6
+        sl[c] = sl[3 + c] = sc                  # leaves (out, out, in, in) of a, b
+        out[tuple(sl)] = g if a < b else g.transpose(1, 0, 3, 2)
+    return out.reshape(8, 8)
 
 
 def _dybe_multiply_as_you_build(builder, x12, x13, x23):
@@ -344,7 +357,7 @@ def test_branch_table_is_the_ice_rule_of_the_layout():
     assert all(_SLOTS[ab + (gamma, delta)] == slot
                for ab, branches in _BRANCHES.items()
                for gamma, delta, slot in branches)
-    # the order fixes the descent order of the configuration routes
+    # the order fixes the order of the vertex DP's ops
     assert admitted[1, -1] == admitted[-1, 1] == ((1, -1), (-1, 1))
 
 
